@@ -14,7 +14,7 @@
  *     (safeguard triggers, arbiter conflicts and denials, prediction
  *     drops, short-circuit epochs, epoch-latency percentiles in
  *     virtual ns). CI diffs those tables against the committed golden
- *     baselines in bench/baselines/ via tools/check_bench_verdicts.py,
+ *     baselines in bench/baselines/ via tools/check_goldens.py,
  *     so a change in what the runtime *does* under a storm — not just
  *     how fast it does it — fails the build.
  *  3. Health: every run samples the fleet health timeline at each
@@ -23,7 +23,7 @@
  *     be identical across thread counts and a repeat run; each
  *     scenario must fire its expected_alerts signature (steady_state
  *     must stay silent); HEALTH_scenario_<name>.json is diffed against
- *     committed goldens by tools/check_health_alerts.py. Sampling is
+ *     committed goldens by tools/check_goldens.py. Sampling is
  *     observe-only, gated by an overhead probe (health on vs off on
  *     steady_state, budget 5%) and by the unchanged trace hashes.
  *
@@ -290,8 +290,7 @@ main(int argc, char** argv)
     summary.Print(std::cout);
     std::cout << "\nBehavior tables land in BENCH_scenario_<name>.json "
               << "and health timelines in HEALTH_scenario_<name>.json; "
-              << "tools/check_bench_verdicts.py and "
-              << "tools/check_health_alerts.py diff them against "
+              << "tools/check_goldens.py diffs them against "
               << "bench/baselines/ and fail CI on drift.\n";
 
     // --- Observe-only overhead probe: steady_state with the sampler

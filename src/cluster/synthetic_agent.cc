@@ -250,18 +250,13 @@ MakeSyntheticSchedule(const SyntheticAgentConfig& config)
     return schedule;
 }
 
-SyntheticAgent::SyntheticAgent(sim::EventQueue& queue,
-                               const SyntheticAgentConfig& config,
-                               core::ActuationGovernor* governor,
-                               const core::RuntimeOptions& options)
-    : config_(config),
-      model_(config_, queue),
-      actuator_(config_),
-      runtime_(queue, model_, actuator_, MakeSyntheticSchedule(config_),
-               options)
+SyntheticAgent::SyntheticAgent(const SyntheticAgentConfig& config,
+                               const sim::Clock& clock,
+                               core::ActuationGovernor* governor)
+    : config_(config), model_(config_, clock), actuator_(config_)
 {
     actuator_.SetGovernor(governor);
-    actuator_.SetClock(&queue);
+    actuator_.SetClock(&clock);
 }
 
 }  // namespace sol::cluster

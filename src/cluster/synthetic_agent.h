@@ -10,7 +10,7 @@
  * triple with trivial O(1) logic — a random-walk telemetry stream, a
  * running-mean "model", and an actuator that occasionally spends shared
  * headroom through the node's ActuationGovernor — so 70+ of them run in
- * their own SimRuntimes at realistic cadences for the cost of a few
+ * their own runtimes at realistic cadences for the cost of a few
  * arithmetic ops per event.
  *
  * Everything is seeded: two derived RNG streams (telemetry and actuation
@@ -28,10 +28,7 @@
 #include "core/actuator.h"
 #include "core/model.h"
 #include "core/prediction.h"
-#include "core/runtime_options.h"
 #include "core/schedule.h"
-#include "core/sim_runtime.h"
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 
 namespace sol::workloads {
@@ -120,8 +117,7 @@ struct SyntheticAgentConfig {
 };
 
 /** Builds the (possibly jittered/bursty) schedule a synthetic agent
- *  runs on. Exposed so ThreadedMultiAgentNode hosts the same agent
- *  logic on a ThreadedRuntime with an identical cadence. */
+ *  runs on, whichever runtime hosts it. */
 core::Schedule MakeSyntheticSchedule(const SyntheticAgentConfig& config);
 
 /** Random-walk telemetry + running-mean model; O(1) per call. */
@@ -213,33 +209,37 @@ class SyntheticActuator : public core::Actuator<double>
     std::uint64_t assessments_seen_ = 0;  ///< Actuator-thread only.
 };
 
-/** One synthetic agent: model + actuator + SimRuntime, ready to Start. */
+class AgentRuntime;
+
+/**
+ * One synthetic agent: its config, model and actuator, built against
+ * its host's clock. NodeAssembly builds it the same way for both node
+ * hosts and hosts it on the node's runtime, reachable via runtime().
+ */
 class SyntheticAgent
 {
   public:
-    using Runtime = core::SimRuntime<double, double>;
-
     /**
-     * @param queue Shared event queue (owned by the node/driver).
      * @param config Agent tunables; `config.name` must be unique per
      *   node (it keys the registry and metric namespace).
+     * @param clock The agent's time source (outlives the agent).
      * @param governor Node admission control; nullptr runs ungoverned.
-     * @param options Shared runtime ablation/fault switches.
      */
-    SyntheticAgent(sim::EventQueue& queue,
-                   const SyntheticAgentConfig& config,
-                   core::ActuationGovernor* governor,
-                   const core::RuntimeOptions& options);
+    SyntheticAgent(const SyntheticAgentConfig& config,
+                   const sim::Clock& clock,
+                   core::ActuationGovernor* governor);
 
     const std::string& name() const { return config_.name; }
-    Runtime& runtime() { return runtime_; }
     SyntheticActuator& actuator() { return actuator_; }
+    AgentRuntime& runtime() { return *runtime_; }
 
   private:
+    friend class NodeAssembly;
+
     SyntheticAgentConfig config_;
     SyntheticModel model_;
     SyntheticActuator actuator_;
-    Runtime runtime_;
+    AgentRuntime* runtime_ = nullptr;  ///< Set once the node hosts it.
 };
 
 }  // namespace sol::cluster

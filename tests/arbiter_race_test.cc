@@ -194,10 +194,22 @@ TEST(ArbiterRaceTest, NoLostHoldsAndExactAccounting)
     EXPECT_EQ(arbiter.conflicts_resolved(), total_denied);
     EXPECT_EQ(metrics.Counter("arbiter.conflicts"),
               arbiter.conflicts_observed());
-    // Memory-placement workers never touch the coupled CPU closure, so
-    // they are never denied.
-    EXPECT_EQ(tallies[2].denied, 0u);
-    EXPECT_EQ(tallies[5].denied, 0u);
+    // Isolation: memory placement is a closure of its own, apart from
+    // the coupled CPU pair. The two memory workers (2 and 5) may deny
+    // each other whenever their runs overlap, but every denial of one
+    // is by the other, and neither ever denies a CPU worker.
+    EXPECT_EQ(metrics.Counter("arbiter.denial.worker2.by.worker5"),
+              tallies[2].denied);
+    EXPECT_EQ(metrics.Counter("arbiter.denial.worker5.by.worker2"),
+              tallies[5].denied);
+    for (const int cpu : {0, 1, 3, 4}) {
+        for (const int memory : {2, 5}) {
+            EXPECT_EQ(metrics.Counter("arbiter.denial.worker" +
+                                      std::to_string(cpu) + ".by.worker" +
+                                      std::to_string(memory)),
+                      0u);
+        }
+    }
 }
 
 TEST(ArbiterRaceTest, DeterministicResolutionUnderScriptedSchedule)

@@ -222,12 +222,12 @@ TEST(MultiAgentNode, RunsAllFourAgentsConcurrently)
     queue.RunFor(sim::Seconds(5));
 
     // Every agent's model loop made progress on the shared queue.
-    EXPECT_GT(node.OverclockStats().epochs, 0u);
-    EXPECT_GT(node.HarvestStats().epochs, 0u);
-    EXPECT_GT(node.MonitorStats().epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartOverclockName).epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartHarvestName).epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartMonitorName).epochs, 0u);
     // SmartMemory's epoch is 38.4 s; its model loop must at least be
     // collecting scan rounds by now.
-    EXPECT_GT(node.MemoryStats().samples_collected, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartMemoryName).samples_collected, 0u);
     // Harvest dominates the epoch count (25 ms epochs => ~40/s).
     EXPECT_GE(node.TotalEpochs(), 150u);
 
@@ -249,9 +249,9 @@ TEST(MultiAgentNode, DisabledAgentsLeaveRegistryAndQueueIdle)
     EXPECT_EQ(node.registry().size(), 2u);
     node.Start();
     queue.RunFor(sim::Seconds(1));
-    EXPECT_EQ(node.MemoryStats().epochs, 0u);
-    EXPECT_EQ(node.MonitorStats().epochs, 0u);
-    EXPECT_GT(node.HarvestStats().epochs, 0u);
+    EXPECT_EQ(node.AgentStats(agents::kSmartMemoryName).epochs, 0u);
+    EXPECT_EQ(node.AgentStats(agents::kSmartMonitorName).epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartHarvestName).epochs, 0u);
     node.Stop();
 }
 
@@ -325,7 +325,7 @@ TEST(MultiAgentNode, RunIsDeterministicForAFixedSeed)
             std::uint64_t arbiter_requests;
             double p99;
         } r{node.TotalEpochs(),
-            node.HarvestStats().samples_collected,
+            node.AgentStats(agents::kSmartHarvestName).samples_collected,
             node.arbiter().requests(),
             node.primary_workload().PerformanceValue()};
         node.Stop();
@@ -368,8 +368,8 @@ TEST(SyntheticAgents, Reach77AgentsPerNodeWithRealProgress)
             << "synthetic" << i << " made no progress";
     }
     // The real agents still run underneath the synthetic load.
-    EXPECT_GT(node.HarvestStats().epochs, 0u);
-    EXPECT_GT(node.OverclockStats().epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartHarvestName).epochs, 0u);
+    EXPECT_GT(node.AgentStats(agents::kSmartOverclockName).epochs, 0u);
 
     // 73 extra actuators produce real arbiter pressure: requests and
     // resolved conflicts on the telemetry/memory domains.
@@ -378,7 +378,7 @@ TEST(SyntheticAgents, Reach77AgentsPerNodeWithRealProgress)
 
     // AggregateStats rolls synthetics into the node totals.
     const core::RuntimeStats total = node.AggregateStats();
-    EXPECT_GT(total.epochs, node.HarvestStats().epochs);
+    EXPECT_GT(total.epochs, node.AgentStats(agents::kSmartHarvestName).epochs);
     EXPECT_GT(total.invalid_samples, 0u);  // Injected bad readings.
     EXPECT_GE(total.peak_queued_predictions, 1u);
     node.Stop();

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cluster/multi_agent_node.h"
+#include "cluster/threaded_multi_agent_node.h"
 #include "fleet/fleet_runner.h"
 #include "sim/event_queue.h"
 #include "telemetry/alerting.h"
@@ -625,13 +626,28 @@ TEST(NodeHealth, DriverTickSamplesAtConfiguredPeriod)
 
 TEST(NodeHealth, RejectsNonPositivePeriod)
 {
-    sim::EventQueue queue;
     SharedTimeSeriesStore health;
     cluster::MultiAgentNodeConfig config;
     config.health = &health;
-    config.health_period = sim::Duration::zero();
-    cluster::MultiAgentNode node(queue, config);
-    EXPECT_THROW(node.Start(), std::invalid_argument);
+    // Both hosts reject it (a zero period would otherwise sample on
+    // every driver tick of the threaded node).
+    for (const sim::Duration period : {sim::Duration::zero(),
+                                       -sim::Millis(1)}) {
+        config.health_period = period;
+        sim::EventQueue queue;
+        EXPECT_THROW(
+            {
+                cluster::MultiAgentNode node(queue, config);
+                node.Start();
+            },
+            std::invalid_argument);
+        EXPECT_THROW(
+            {
+                cluster::ThreadedMultiAgentNode<> node(config);
+                node.Start();
+            },
+            std::invalid_argument);
+    }
 }
 
 // ---- Concurrency (TSan leg repeats HealthConcurrency 20x) ---------------
