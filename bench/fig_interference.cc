@@ -12,18 +12,17 @@
  * Reported: primary P99, harvested capacity, node energy, and the
  * number of conflicting actuations observed/resolved.
  *
- * Panel 2 scales the arbitrated node to a small fleet via ClusterDriver
- * and reports per-node and aggregate behavior; the full fleet metric
- * registry is embedded in this bench's BENCH_fig_interference.json.
+ * Panel 2 scales the arbitrated node to a small serial fleet (one
+ * fleet::ShardedFleetRunner shard, one virtual clock) and reports
+ * per-node and aggregate behavior; the full fleet metric registry is
+ * embedded in this bench's BENCH_fig_interference.json.
  */
 #include <iostream>
 
-#include "cluster/cluster_driver.h"
 #include "cluster/multi_agent_node.h"
+#include "fleet/fleet_runner.h"
 #include "telemetry/metric_registry.h"
 
-using sol::cluster::ClusterConfig;
-using sol::cluster::ClusterDriver;
 using sol::cluster::MultiAgentNode;
 using sol::cluster::MultiAgentNodeConfig;
 using sol::telemetry::BenchJson;
@@ -116,9 +115,10 @@ main()
     // --- Panel 2: the arbitrated node, fleet-scaled. -------------------
     std::cout << "\n=== Fleet: 4 arbitrated nodes, one virtual clock ==="
               << "\n\n";
-    ClusterConfig fleet_config;
+    sol::fleet::FleetConfig fleet_config;
     fleet_config.num_nodes = 4;
-    ClusterDriver driver(fleet_config);
+    fleet_config.num_shards = 1;
+    sol::fleet::ShardedFleetRunner driver(fleet_config);
     driver.Run(kDuration);
 
     TableWriter fleet_table({"node", "P99 ms", "epochs",

@@ -31,12 +31,13 @@
 #include <string>
 #include <vector>
 
-#include "cluster/cluster_driver.h"
+#include "fleet/fleet_runner.h"
 #include "telemetry/metric_registry.h"
 
-using sol::cluster::ClusterConfig;
-using sol::cluster::ClusterDriver;
 using sol::cluster::FleetStats;
+using sol::fleet::FleetConfig;
+using sol::fleet::ShardedFleetRunner;
+using sol::sim::EventQueue;
 using sol::sim::EventQueueStats;
 using sol::telemetry::BenchJson;
 using sol::telemetry::TableWriter;
@@ -81,23 +82,28 @@ Percentile(const std::vector<double>& sorted, double q)
 RunResult
 RunFleet(const BenchConfig& bench)
 {
-    ClusterConfig config;
+    // One shard: every node interleaved on one shared queue.
+    FleetConfig config;
     config.num_nodes = bench.num_nodes;
+    config.num_shards = 1;
     config.base_seed = bench.base_seed;
+    config.window = bench.slice;
     config.queue_pending_limit = bench.queue_pending_limit;
+    config.metrics_every_n_windows = 0;  // Time the queue, not merges.
     config.node.synthetic_agents = bench.synthetic_agents;
-    ClusterDriver driver(config);
+    ShardedFleetRunner fleet(config);
+    const EventQueue& queue = fleet.shard(0).queue();
 
     std::vector<double> slice_ms;
     const auto start = std::chrono::steady_clock::now();
-    while (driver.queue().executed() < bench.min_events) {
-        const std::uint64_t before = driver.queue().executed();
+    while (queue.executed() < bench.min_events) {
+        const std::uint64_t before = queue.executed();
         const auto t0 = std::chrono::steady_clock::now();
-        driver.Run(bench.slice);
+        fleet.Run(bench.slice);
         const auto t1 = std::chrono::steady_clock::now();
         slice_ms.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
-        if (driver.queue().executed() == before) {
+        if (queue.executed() == before) {
             // Stalled fleet (e.g. drops shed the re-arm events): bail
             // out with what we have rather than spinning forever; the
             // caller fails the run on the event shortfall.
@@ -105,10 +111,10 @@ RunFleet(const BenchConfig& bench)
         }
     }
     const auto end = std::chrono::steady_clock::now();
-    driver.Stop();
+    fleet.Stop();
 
     RunResult result;
-    result.events = driver.queue().executed();
+    result.events = queue.executed();
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     result.events_per_sec =
@@ -118,10 +124,10 @@ RunFleet(const BenchConfig& bench)
     result.p90_ms = Percentile(slice_ms, 0.90);
     result.p99_ms = Percentile(slice_ms, 0.99);
     result.max_ms = slice_ms.empty() ? 0.0 : slice_ms.back();
-    result.sim_seconds = sol::sim::ToSeconds(driver.queue().Now());
-    result.trace_hash = driver.queue().trace_hash();
-    result.queue = driver.queue().stats();
-    result.fleet = driver.Stats();
+    result.sim_seconds = sol::sim::ToSeconds(queue.Now());
+    result.trace_hash = queue.trace_hash();
+    result.queue = queue.stats();
+    result.fleet = fleet.Stats();
     return result;
 }
 

@@ -25,11 +25,12 @@
  *     must stay silent); HEALTH_scenario_<name>.json is diffed against
  *     committed goldens by tools/check_goldens.py. Sampling is
  *     observe-only, gated by an overhead probe (health on vs off on
- *     steady_state, budget 5%) and by the unchanged trace hashes.
+ *     steady_state: median of interleaved pairs in process CPU time,
+ *     budget 5%) and by the unchanged trace hashes.
  *
  * --smoke runs the CI shape (the mode the baselines are recorded in);
- * the default full shape is for local investigation. Wall-clock
- * numbers are report-only everywhere except the smoke overhead probe:
+ * the default full shape is for local investigation. Timing numbers
+ * are report-only everywhere except the smoke overhead probe:
  * virtual-time behavior is the product under test.
  */
 #include <algorithm>
@@ -57,6 +58,13 @@ using sol::workloads::ScenarioResult;
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
+
+// Interleaved off/on pairs behind the gated health overhead verdict
+// (odd, so the median is one pair's value) and the budget it must meet.
+// A single pair swings by +-5% on a shared 4-core host; the median of
+// 15 settles within about +-1%.
+constexpr std::size_t kOverheadPairs = 15;
+constexpr double kOverheadBudget = 0.05;
 
 // Sanitizers multiply the cost of the sampler's bookkeeping far beyond
 // production reality, so the overhead budget is report-only in
@@ -185,7 +193,6 @@ main(int argc, char** argv)
     bool all_deterministic = true;
     bool all_alerts_ok = true;
     std::size_t ran = 0;
-    double steady_health_wall = 0.0;
 
     for (const Scenario& scenario : ScenarioLibrary()) {
         if (!only.empty() && scenario.name != only) {
@@ -210,9 +217,6 @@ main(int argc, char** argv)
             runs.push_back(RunScenario(scenario, repeat));
         }
         const ScenarioResult& base = runs.front();
-        if (scenario.name == "steady_state") {
-            steady_health_wall = base.wall_seconds;
-        }
 
         bool deterministic = true;
         for (const ScenarioResult& run : runs) {
@@ -294,42 +298,40 @@ main(int argc, char** argv)
               << "bench/baselines/ and fail CI on drift.\n";
 
     // --- Observe-only overhead probe: steady_state with the sampler
-    // and alert engine off vs the health-on wall time measured above.
-    // Sub-second legs mean one noisy scheduling quantum can fake
-    // several percent of "overhead", so keep resampling interleaved
-    // off/on rounds (best-of-N per side) until the budget is met or
-    // rounds run out. Gates only in smoke mode on unsanitized builds.
-    double overhead = 0.0;
-    const bool probe = only.empty() || only == "steady_state";
-    if (probe && steady_health_wall > 0.0) {
+    // and alert engine off vs on. Each leg is tens of milliseconds, so
+    // wall time would charge any descheduling to whichever side it hit;
+    // the legs are measured in process CPU time over the Run span
+    // instead, run as interleaved off/on pairs, and judged on the
+    // median pair — one noisy pair can neither pass nor fail the gate.
+    // Gates only in smoke mode on unsanitized builds; elsewhere one
+    // pair is reported.
+    if (only.empty() || only == "steady_state") {
         const Scenario* steady =
             sol::workloads::FindScenario("steady_state");
         ScenarioOptions off;
         off.smoke = smoke;
         off.health = false;
-        double off_wall = RunScenario(*steady, off).wall_seconds;
-        double on_wall = steady_health_wall;
-        overhead = std::max(0.0, on_wall / off_wall - 1.0);
+        ScenarioOptions on;
+        on.smoke = smoke;
         const bool overhead_gated = smoke && !kSanitizedBuild;
-        for (int round = 0; overhead_gated && overhead > 0.05 && round < 3;
-             ++round) {
-            off_wall = std::min(off_wall,
-                                RunScenario(*steady, off).wall_seconds);
-            ScenarioOptions on;
-            on.smoke = smoke;
-            on_wall = std::min(on_wall,
-                               RunScenario(*steady, on).wall_seconds);
-            overhead = std::max(0.0, on_wall / off_wall - 1.0);
+        const std::size_t pairs = overhead_gated ? kOverheadPairs : 1;
+        std::vector<double> pair_overheads;
+        for (std::size_t pair = 0; pair < pairs; ++pair) {
+            const double off_cpu = RunScenario(*steady, off).cpu_seconds;
+            const double on_cpu = RunScenario(*steady, on).cpu_seconds;
+            pair_overheads.push_back(on_cpu / off_cpu - 1.0);
         }
+        std::sort(pair_overheads.begin(), pair_overheads.end());
+        const double overhead = std::max(0.0, pair_overheads[pairs / 2]);
         std::cout << "\nhealth sampling overhead (steady_state, on vs "
-                  << "off): " << TableWriter::Num(overhead * 100.0, 2)
-                  << "%"
+                  << "off, median of " << pairs << " CPU-time pairs): "
+                  << TableWriter::Num(overhead * 100.0, 2) << "%"
                   << (!smoke            ? " (report only)"
                       : kSanitizedBuild ? " (report only: sanitized)"
-                      : overhead <= 0.05 ? " (PASS)"
-                                         : " (FAIL)")
+                      : overhead <= kOverheadBudget ? " (PASS)"
+                                                    : " (FAIL)")
                   << "\n";
-        if (overhead_gated && overhead > 0.05) {
+        if (overhead_gated && overhead > kOverheadBudget) {
             std::cerr << "FAIL: health sampling overhead "
                       << TableWriter::Num(overhead * 100.0, 2)
                       << "% exceeds the 5% budget\n";

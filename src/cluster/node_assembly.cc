@@ -283,7 +283,7 @@ NodeAssembly::EpochLatencyHistogram() const
 {
     telemetry::LatencyHistogram merged;
     for (const AgentRuntime& slot : slots_) {
-        merged.Merge(slot.EpochLatencyHistogram());
+        slot.MergeEpochLatencyInto(merged);
     }
     return merged;
 }

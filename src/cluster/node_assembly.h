@@ -269,8 +269,9 @@ class AgentRuntime
           start_([&runtime] { runtime.Start(); }),
           stop_([&runtime] { runtime.Stop(); }),
           stats_([&runtime] { return runtime.stats(); }),
-          epoch_latency_(
-              [&runtime] { return runtime.EpochLatencyHistogram(); }),
+          merge_epoch_latency_([&runtime](telemetry::LatencyHistogram& out) {
+              runtime.MergeEpochLatencyInto(out);
+          }),
           parts_(std::move(parts))
     {
     }
@@ -279,10 +280,10 @@ class AgentRuntime
     void Start() const { start_(); }
     void Stop() const { stop_(); }
     core::RuntimeStats stats() const { return stats_(); }
-    telemetry::LatencyHistogram
-    EpochLatencyHistogram() const
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
-        return epoch_latency_();
+        merge_epoch_latency_(out);
     }
 
   private:
@@ -290,7 +291,8 @@ class AgentRuntime
     std::function<void()> start_;
     std::function<void()> stop_;
     std::function<core::RuntimeStats()> stats_;
-    std::function<telemetry::LatencyHistogram()> epoch_latency_;
+    std::function<void(telemetry::LatencyHistogram&)>
+        merge_epoch_latency_;
     AgentParts parts_;
 };
 

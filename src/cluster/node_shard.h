@@ -1,17 +1,17 @@
 /**
  * @file
- * Shard-steppable core of the fleet drivers: a group of MultiAgentNodes
+ * Shard-steppable core of the fleet driver: a group of MultiAgentNodes
  * on one private event queue.
  *
- * PR 2's ClusterDriver stepped every node of the fleet serially on one
- * shared EventQueue — correct, but a hard scaling wall: one virtual
- * clock means one thread, no matter how many cores the host has. The
- * shard is the extraction of that loop into a self-contained unit:
- * it owns its queue (arena, virtual clock, trace hash), its contiguous
- * slice of the fleet's nodes, and the staggered-start scheduling, so a
- * driver can hold one shard (ClusterDriver — the serial case, exactly
- * as before) or many (fleet::ShardedFleetRunner — one per worker-thread
- * work item, stepped in parallel between barriers).
+ * Stepping every node of a fleet on one shared EventQueue is correct
+ * but a hard scaling wall: one virtual clock means one thread, no
+ * matter how many cores the host has. The shard is that loop as a
+ * self-contained unit: it owns its queue (arena, virtual clock, trace
+ * hash), its contiguous slice of the fleet's nodes, and the
+ * staggered-start scheduling. fleet::ShardedFleetRunner holds one
+ * shard per worker-thread work item and steps them in parallel between
+ * barriers; with `num_shards = 1` it is the serial fleet — every node
+ * interleaved on one virtual clock.
  *
  * Nodes never exchange events across shards — fleet nodes are
  * statistically independent by construction (per-node RNG streams) —
@@ -63,8 +63,15 @@ struct NodeShardConfig {
     /** Offset between consecutive *global* node start times. */
     sim::Duration start_stagger = sim::Millis(1);
 
-    /** Backpressure bound on this shard's queue (0 = unlimited); see
-     *  ClusterConfig::queue_pending_limit for the drop semantics. */
+    /**
+     * Backpressure bound on this shard's queue (0 = unlimited).
+     * Million-event fleet runs set this as a guard rail: an event storm
+     * shows up as `fleet.queue.dropped` instead of a silent OOM. Drops
+     * are lossy (an agent whose control event is shed may stall for the
+     * rest of the run — see sim::EventQueue::SetPendingLimit), so set
+     * it far above the expected peak and treat any non-zero
+     * `fleet.queue.dropped` as an invalid run.
+     */
     std::size_t queue_pending_limit = 0;
 
     /**
@@ -139,5 +146,23 @@ class NodeShard
     std::vector<std::unique_ptr<MultiAgentNode>> nodes_;
     bool started_ = false;
 };
+
+/**
+ * Writes fleet roll-up counters plus one queue's health gauges into a
+ * "fleet"-scoped section of `out`. fleet::ShardedFleetRunner sums its
+ * per-shard queue stats before the call.
+ */
+void WriteFleetScope(telemetry::MetricRegistry& out,
+                     const FleetStats& fleet, std::size_t num_nodes,
+                     const sim::EventQueueStats& queue);
+
+/**
+ * Writes one queue's health gauges (executed/scheduled/cancelled/
+ * dropped/pending/peak_pending/arena_capacity) under `scope`. The one
+ * place these gauge names are spelled — the fleet scope and the
+ * per-shard window metrics both go through it.
+ */
+void WriteQueueGauges(telemetry::MetricScope scope,
+                      const sim::EventQueueStats& queue);
 
 }  // namespace sol::cluster

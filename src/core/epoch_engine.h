@@ -560,6 +560,16 @@ class EpochEngine
         return epoch_hist_;
     }
 
+    /** Adds the epoch-duration histogram into `out` without copying
+     *  it (the fleet health sampler merges every agent's histogram each
+     *  window). */
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
+    {
+        ScopedLock<typename Policy::Mutex> lock(mutex_);
+        out.Merge(epoch_hist_);
+    }
+
     // ---- Introspection ---------------------------------------------------
 
     const Stats& stats() const { return stats_; }

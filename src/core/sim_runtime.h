@@ -15,6 +15,10 @@
  *     relative to the last action,
  *   - actuator assessments are a periodic event chain.
  *
+ * Each of those four event chains keeps exactly one pending event,
+ * whose handle the runtime holds; Stop() cancels all four, so a
+ * stopped runtime leaves nothing behind in the queue.
+ *
  * Fault-injection hooks reproduce the paper's failure experiments:
  * per-sample data corruption (Fig 2/6-left, SetDataFault), model-loop
  * stalls (Fig 4/6-right, StallModelFor), and the RuntimeOptions
@@ -23,7 +27,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "core/actuator.h"
@@ -57,9 +60,7 @@ class SimRuntime
     SimRuntime(sim::EventQueue& queue, Model<D, P>& model,
                Actuator<P>& actuator, const Schedule& schedule,
                RuntimeOptions options = {})
-        : queue_(queue),
-          engine_(model, actuator, schedule, options),
-          alive_(std::make_shared<bool>(false))
+        : queue_(queue), engine_(model, actuator, schedule, options)
     {
     }
 
@@ -76,10 +77,10 @@ class SimRuntime
     void
     Start()
     {
-        if (*alive_) {
+        if (running_) {
             return;
         }
-        *alive_ = true;
+        running_ = true;
         engine_.OnStart(queue_.Now());
         engine_.BeginEpoch(queue_.Now());
         ScheduleCollect();
@@ -92,21 +93,28 @@ class SimRuntime
         }
     }
 
-    /** Stops both loops; pending events become no-ops. */
+    /**
+     * Stops both loops, cancelling every pending event of this
+     * runtime. Safe to call from inside one of the runtime's own
+     * callbacks (an actuator stopping its agent): the scheduling
+     * helpers do nothing while stopped, so the firing callback cannot
+     * re-arm its chain.
+     */
     void
     Stop()
     {
-        if (!*alive_) {
+        if (!running_) {
             return;
         }
         engine_.OnStop(queue_.Now());
-        *alive_ = false;
-        // Strand every pending continuation on the dead token so a
-        // later Start() cannot resurrect the old event chains.
-        alive_ = std::make_shared<bool>(false);
+        running_ = false;
+        collect_handle_.Cancel();
+        wake_handle_.Cancel();
+        timeout_handle_.Cancel();
+        assessment_handle_.Cancel();
     }
 
-    bool running() const { return *alive_; }
+    bool running() const { return running_; }
 
     /**
      * Stalls the Model loop for the given duration starting now. Collect
@@ -145,11 +153,12 @@ class SimRuntime
         engine_.SetTraceRecorders(recorder, recorder);
     }
 
-    /** Copy of the always-on epoch-duration histogram (virtual ns). */
-    telemetry::LatencyHistogram
-    EpochLatencyHistogram() const
+    /** Adds the always-on epoch-duration histogram (virtual ns) into
+     *  `out`. */
+    void
+    MergeEpochLatencyInto(telemetry::LatencyHistogram& out) const
     {
-        return engine_.EpochLatencyHistogram();
+        engine_.MergeEpochLatencyInto(out);
     }
 
     const RuntimeStats& stats() const { return engine_.stats(); }
@@ -173,13 +182,12 @@ class SimRuntime
     void
     ScheduleCollect()
     {
-        auto alive = alive_;
-        queue_.ScheduleAfter(engine_.schedule().data_collect_interval,
-                             [this, alive] {
-                                 if (*alive) {
-                                     OnCollectTick();
-                                 }
-                             });
+        if (!running_) {
+            return;
+        }
+        collect_handle_ =
+            queue_.ScheduleAfter(engine_.schedule().data_collect_interval,
+                                 [this] { OnCollectTick(); });
     }
 
     void
@@ -188,12 +196,8 @@ class SimRuntime
         const sim::TimePoint now = queue_.Now();
         if (now < model_resume_time_) {
             // The model loop is stalled: defer to the end of the stall.
-            auto alive = alive_;
-            queue_.ScheduleAt(model_resume_time_, [this, alive] {
-                if (*alive) {
-                    OnCollectTick();
-                }
-            });
+            collect_handle_ = queue_.ScheduleAt(
+                model_resume_time_, [this] { OnCollectTick(); });
             return;
         }
 
@@ -206,12 +210,12 @@ class SimRuntime
             now, outcome == CollectOutcome::kEpochComplete));
         // Wake the actuator for the new prediction (or, while halted,
         // for nothing — the wake is a harmless no-op then).
-        auto alive = alive_;
-        queue_.ScheduleAfter(sim::Duration::zero(), [this, alive] {
-            if (*alive) {
-                OnActuatorWake(/*from_timeout=*/false);
-            }
-        });
+        if (running_) {
+            wake_handle_ =
+                queue_.ScheduleAfter(sim::Duration::zero(), [this] {
+                    OnActuatorWake(/*from_timeout=*/false);
+                });
+        }
         engine_.BeginEpoch(now);
         ScheduleCollect();
     }
@@ -221,15 +225,13 @@ class SimRuntime
     void
     ArmActuatorTimeout()
     {
+        if (!running_) {
+            return;
+        }
         timeout_handle_.Cancel();
-        auto alive = alive_;
         timeout_handle_ = queue_.ScheduleAt(
             last_action_time_ + engine_.schedule().max_actuation_delay,
-            [this, alive] {
-                if (*alive) {
-                    OnActuatorWake(/*from_timeout=*/true);
-                }
-            });
+            [this] { OnActuatorWake(/*from_timeout=*/true); });
     }
 
     void
@@ -252,13 +254,12 @@ class SimRuntime
     void
     ScheduleActuatorAssessment()
     {
-        auto alive = alive_;
-        queue_.ScheduleAfter(engine_.schedule().assess_actuator_interval,
-                             [this, alive] {
-                                 if (*alive) {
-                                     OnActuatorAssessment();
-                                 }
-                             });
+        if (!running_) {
+            return;
+        }
+        assessment_handle_ = queue_.ScheduleAfter(
+            engine_.schedule().assess_actuator_interval,
+            [this] { OnActuatorAssessment(); });
     }
 
     void
@@ -278,10 +279,14 @@ class SimRuntime
     sim::EventQueue& queue_;
     Engine engine_;
 
-    std::shared_ptr<bool> alive_;
+    bool running_ = false;
     sim::TimePoint model_resume_time_{0};
     sim::TimePoint last_action_time_{0};
+    // The one pending event of each chain (stale once it fires).
+    sim::EventHandle collect_handle_;
+    sim::EventHandle wake_handle_;
     sim::EventHandle timeout_handle_;
+    sim::EventHandle assessment_handle_;
 };
 
 }  // namespace sol::core

@@ -72,17 +72,17 @@ RunHarvest(const HarvestRunConfig& config)
 
     // Fig 6 right: stall the model when the primary's burst begins —
     // exactly when its CPU utilization ramps up.
+    bool was_burst = false;
     std::unique_ptr<sim::PeriodicTask> stall_watch;
     if (runtime && config.stall_on_burst > sim::Duration::zero()) {
-        auto was_burst =
-            std::make_shared<bool>(primary_workload->in_burst());
+        was_burst = primary_workload->in_burst();
         stall_watch = std::make_unique<sim::PeriodicTask>(
-            queue, sim::Millis(1), [&, was_burst] {
+            queue, sim::Millis(1), [&] {
                 const bool burst = primary_workload->in_burst();
-                if (!*was_burst && burst) {
+                if (!was_burst && burst) {
                     runtime->StallModelFor(config.stall_on_burst);
                 }
-                *was_burst = burst;
+                was_burst = burst;
             });
     }
 

@@ -97,20 +97,21 @@ RunOverclock(const OverclockRunConfig& config)
 
     // Fig 4: stall the model loop when a batch finishes processing
     // (only after the warm-up phase).
+    bool was_busy = false;
     std::unique_ptr<sim::PeriodicTask> stall_watch;
     if (runtime && config.stall_on_batch_end > sim::Duration::zero()) {
         auto* synthetic =
             dynamic_cast<workloads::SyntheticBatch*>(workload.get());
         if (synthetic) {
-            auto was_busy = std::make_shared<bool>(synthetic->busy());
+            was_busy = synthetic->busy();
             stall_watch = std::make_unique<sim::PeriodicTask>(
-                queue, sim::Millis(50), [&, synthetic, was_busy] {
+                queue, sim::Millis(50), [&, synthetic] {
                     const bool busy = synthetic->busy();
-                    if (*was_busy && !busy &&
+                    if (was_busy && !busy &&
                         queue.Now() >= config.measure_from) {
                         runtime->StallModelFor(config.stall_on_batch_end);
                     }
-                    *was_busy = busy;
+                    was_busy = busy;
                 });
         }
     }

@@ -4,15 +4,16 @@
  * threads, bit-deterministic regardless of thread count.
  *
  * The paper's deployment setting is a fleet where every node runs ~77
- * learning agents. cluster::ClusterDriver models that fleet faithfully
- * but steps it serially — one virtual clock, one thread, a hard wall
- * around 8 nodes. ShardedFleetRunner is the scaling layer above it:
+ * learning agents. Stepped serially — one virtual clock, one thread —
+ * such a fleet hits a hard wall around 8 nodes. ShardedFleetRunner is
+ * the fleet driver that scales past it (and, with `num_shards = 1`,
+ * is that serial fleet too):
  *
  *  - The fleet is sliced into S shards (cluster::NodeShard), each
  *    owning its own arena-backed sim::EventQueue, virtual clock, trace
  *    hash, and a contiguous slice of the fleet's nodes. Every node
  *    keeps the per-global-index splitmix64 RNG stream and start
- *    stagger it would have had in the serial driver.
+ *    stagger it would have had on a single serial shard.
  *  - W worker threads step the shards between barrier-synced
  *    virtual-time windows: every window, each worker advances its
  *    statically assigned shards to the shared horizon, merges its
@@ -41,10 +42,9 @@
 #include <thread>
 #include <vector>
 
-#include "cluster/cluster_driver.h"
+#include "cluster/node_shard.h"
 #include "core/sync.h"
 #include "core/thread_annotations.h"
-#include "cluster/node_shard.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 #include "telemetry/alerting.h"
@@ -87,8 +87,15 @@ struct FleetConfig {
     /** Offset between consecutive global nodes' agent start times. */
     sim::Duration start_stagger = sim::Millis(1);
 
-    /** Per-shard queue backpressure bound (0 = unlimited); see
-     *  ClusterConfig::queue_pending_limit for drop semantics. */
+    /**
+     * Per-shard queue backpressure bound (0 = unlimited). Million-event
+     * fleet runs set this as a guard rail: an event storm shows up as
+     * `fleet.queue.dropped` instead of a silent OOM. Drops are lossy
+     * (an agent whose control event is shed may stall for the rest of
+     * the run — see sim::EventQueue::SetPendingLimit), so set it far
+     * above the expected per-shard peak and treat any non-zero
+     * `fleet.queue.dropped` as an invalid run.
+     */
     std::size_t queue_pending_limit = 0;
 
     /**
@@ -167,8 +174,8 @@ class ShardedFleetRunner
      *
      * An exception thrown inside a shard (agent callback, allocation
      * failure) is captured on the worker and rethrown here at that
-     * window's boundary — the same propagation ClusterDriver::Run
-     * gives, instead of std::terminate. After such a throw the fleet's
+     * window's boundary — the same propagation a direct call would
+     * give, instead of std::terminate. After such a throw the fleet's
      * shards are at mixed horizons; destroy the runner rather than
      * calling Run again.
      */
@@ -181,8 +188,8 @@ class ShardedFleetRunner
     void CleanUpAll();
 
     /**
-     * Drains one node mid-run: stops its agent runtimes so its queued
-     * control events become no-ops and its shard's remaining load
+     * Drains one node mid-run: stops its agent runtimes, cancelling
+     * their queued control events, so its shard's remaining load
      * shrinks. Deterministic as long as it happens at the same virtual
      * time across runs (i.e. between the same Run calls).
      */

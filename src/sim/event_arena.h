@@ -2,19 +2,13 @@
  * @file
  * Arena-backed event storage for the discrete-event simulation core.
  *
- * The seed EventQueue paid three per-event heap allocations on its hot
- * path: a std::shared_ptr<bool> cancellation flag, the std::function
- * closure, and std::priority_queue vector churn — and cancelled events
- * stayed buried in the binary heap until their deadline, where they were
- * popped and skipped one by one. At fleet scale (77 agents per node,
- * million-event runs) that allocation traffic and cancelled-event drag
- * dominate the simulation loop.
- *
- * This header provides the replacement storage layer:
+ * At fleet scale (77 agents per node, million-event runs) per-event
+ * heap allocation and cancelled events lingering until their deadline
+ * would dominate the simulation loop. This storage layer avoids both:
  *
  *  - InlineEvent: a move-only callable with a 24-byte inline buffer.
- *    Every closure the runtimes schedule (a captured `this` plus a
- *    shared liveness token) fits inline, so the steady path performs no
+ *    Every closure the runtimes schedule (a captured `this`, at most a
+ *    couple of extra words) fits inline, so the steady path performs no
  *    closure allocation; larger callables transparently spill to the
  *    heap for correctness.
  *  - EventKey / EventArena: structure-of-arrays event storage addressed
@@ -66,10 +60,11 @@ class alignas(32) InlineEvent
 {
   public:
     /**
-     * Inline capacity. Sized so the runtimes' hottest closures — a
-     * captured `this` plus a `shared_ptr` liveness token (24 bytes) —
-     * fit inline while the whole payload record stays 32 bytes (two
-     * per cache line in the arena's payload array). Larger callables
+     * Inline capacity. Sized so the whole payload record — buffer plus
+     * ops pointer — stays 32 bytes (two per cache line in the arena's
+     * payload array). The runtimes' hottest closures capture only
+     * `this` (8 bytes); the remaining room holds the few-word closures
+     * that node drivers and workloads schedule. Larger callables
      * transparently box on the heap; every steady-path closure in
      * src/ fits.
      */
@@ -287,9 +282,11 @@ static_assert(sizeof(void*) != 8 || sizeof(InlineEvent) == 32,
  * (when, seq): strict total order, so pop order is identical to the
  * seed binary heap's and same-instant events run in insertion order.
  *
- * The arena is shared-ptr-owned by its EventQueue so that EventHandles
- * may outlive the queue: a Cancel() through a stale handle lands on a
- * live arena and is rejected by the generation check.
+ * The arena is a by-value member of its EventQueue, and EventHandles
+ * address it through a plain pointer: liveness of an *event* is the
+ * generation check (a Cancel() through a stale handle is rejected in
+ * O(1)), while liveness of the *arena* is an ownership rule — no handle
+ * may be used after its queue is destroyed (see sim::EventHandle).
  */
 class EventArena
 {

@@ -25,27 +25,24 @@ EventQueue::ScheduleEvent(TimePoint when, detail::InlineEvent fn)
     if (when < now_) {
         when = now_;
     }
-    if (pending_limit_ != 0 && arena_->pending() >= pending_limit_) {
+    if (pending_limit_ != 0 && arena_.pending() >= pending_limit_) {
         ++dropped_;
         return EventHandle::Dropped();
     }
     const std::uint32_t index =
-        arena_->Push(when, next_seq_++, std::move(fn));
-    return EventHandle(arena_, index, arena_->GenerationOf(index));
+        arena_.Push(when, next_seq_++, std::move(fn));
+    return EventHandle(&arena_, index, arena_.GenerationOf(index));
 }
 
 void
 EventQueue::RunUntil(TimePoint horizon)
 {
-    // Hoist the shared_ptr deref out of the hot loop; the arena cannot
-    // be released while its owning queue is running.
-    detail::EventArena* arena = arena_.get();
     detail::EventArena::Popped event;
-    while (arena->PopEarliest(horizon, &event)) {
+    while (arena_.PopEarliest(horizon, &event)) {
         now_ = event.when;
         ++executed_;
         MixTrace(event.when, event.seq);
-        arena->InvokePopped(event);
+        arena_.InvokePopped(event);
     }
     if (horizon > now_ && horizon != kTimeInfinity) {
         now_ = horizon;
@@ -64,26 +61,26 @@ bool
 EventQueue::Step()
 {
     detail::EventArena::Popped event;
-    if (!arena_->PopEarliest(kTimeInfinity, &event)) {
+    if (!arena_.PopEarliest(kTimeInfinity, &event)) {
         return false;
     }
     now_ = event.when;
     ++executed_;
     MixTrace(event.when, event.seq);
-    arena_->InvokePopped(event);
+    arena_.InvokePopped(event);
     return true;
 }
 
 EventQueueStats
 EventQueue::stats() const
 {
-    const detail::EventArena::Stats arena = arena_->stats();
+    const detail::EventArena::Stats arena = arena_.stats();
     EventQueueStats stats;
     stats.scheduled = arena.scheduled;
     stats.executed = executed_;
     stats.cancelled = arena.cancelled;
     stats.dropped = dropped_;
-    stats.pending = arena_->pending();
+    stats.pending = arena_.pending();
     stats.peak_pending = arena.peak_pending;
     stats.arena_capacity = arena.capacity;
     stats.arena_blocks = arena.blocks;
@@ -94,8 +91,7 @@ PeriodicTask::PeriodicTask(EventQueue& queue, Duration period,
                            std::function<void()> fn)
     : queue_(queue),
       period_(period),
-      fn_(std::move(fn)),
-      alive_(std::make_shared<bool>(true))
+      fn_(std::move(fn))
 {
     assert(period_ > Duration::zero());
     Arm();
@@ -109,20 +105,18 @@ PeriodicTask::~PeriodicTask()
 void
 PeriodicTask::Stop()
 {
-    *alive_ = false;
+    stopped_ = true;
     next_.Cancel();
 }
 
 void
 PeriodicTask::Arm()
 {
-    std::shared_ptr<bool> alive = alive_;
-    next_ = queue_.ScheduleAfter(period_, [this, alive] {
-        if (!*alive) {
-            return;
-        }
+    // Stop() cancels the pending tick, so a tick that fires is live;
+    // only fn_ itself can stop the task mid-tick.
+    next_ = queue_.ScheduleAfter(period_, [this] {
         fn_();
-        if (*alive) {
+        if (!stopped_) {
             Arm();
         }
     });

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "sim/event_arena.h"
@@ -37,8 +36,14 @@ namespace sol::sim {
  * moment Cancel() runs, so a cancelled high-frequency timeout costs
  * nothing at its deadline. Cancelling an event that already fired (or
  * was already cancelled) is a harmless no-op — the generation token in
- * the handle can never match a recycled slot. Handles may outlive the
- * queue; every operation on a stale handle is safe and does nothing.
+ * the handle can never match a recycled slot.
+ *
+ * Precondition: a handle must not be used (Cancel(), pending()) after
+ * its queue is destroyed — it holds a plain pointer to the queue's
+ * arena. Destroying or overwriting a stale handle is always fine. The
+ * owners in src/ satisfy this by construction: every runtime and
+ * periodic task takes its queue by reference and is destroyed first
+ * (NodeShard declares its queue before its nodes).
  */
 class EventHandle
 {
@@ -60,9 +65,9 @@ class EventHandle
 
   private:
     friend class EventQueue;
-    EventHandle(std::shared_ptr<detail::EventArena> arena,
-                std::uint32_t index, std::uint32_t generation)
-        : arena_(std::move(arena)), index_(index), generation_(generation)
+    EventHandle(detail::EventArena* arena, std::uint32_t index,
+                std::uint32_t generation)
+        : arena_(arena), index_(index), generation_(generation)
     {}
 
     /** Inert handle for events dropped by the pending limit. */
@@ -74,7 +79,7 @@ class EventHandle
         return handle;
     }
 
-    std::shared_ptr<detail::EventArena> arena_;
+    detail::EventArena* arena_ = nullptr;
     std::uint32_t index_ = detail::kNilEvent;
     std::uint32_t generation_ = 0;
     bool cancel_took_effect_ = false;
@@ -96,7 +101,7 @@ struct EventQueueStats {
 class EventQueue : public Clock
 {
   public:
-    EventQueue() : arena_(std::make_shared<detail::EventArena>()) {}
+    EventQueue() = default;
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -159,7 +164,7 @@ class EventQueue : public Clock
 
     /** Number of events still pending (cancelled events excluded —
      *  cancellation removes them immediately). */
-    std::size_t pending() const { return arena_->pending(); }
+    std::size_t pending() const { return arena_.pending(); }
 
     /** Total events executed so far (cancelled events excluded). */
     std::uint64_t executed() const { return executed_; }
@@ -190,7 +195,7 @@ class EventQueue : public Clock
         trace_hash_ *= kFnvPrime;
     }
 
-    std::shared_ptr<detail::EventArena> arena_;
+    detail::EventArena arena_;
     TimePoint now_{0};
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
@@ -220,8 +225,9 @@ class PeriodicTask
     PeriodicTask(const PeriodicTask&) = delete;
     PeriodicTask& operator=(const PeriodicTask&) = delete;
 
-    /** Stops future ticks; safe to call multiple times. The pending
-     *  tick is cancelled eagerly, leaving nothing in the queue. */
+    /** Stops future ticks; safe to call multiple times, including from
+     *  inside the task's own callback. The pending tick is cancelled
+     *  eagerly, leaving nothing in the queue. */
     void Stop();
 
   private:
@@ -230,7 +236,7 @@ class PeriodicTask
     EventQueue& queue_;
     Duration period_;
     std::function<void()> fn_;
-    std::shared_ptr<bool> alive_;
+    bool stopped_ = false;
     EventHandle next_;
 };
 

@@ -51,7 +51,12 @@ LatencyHistogram::Merge(const LatencyHistogram& other)
     if (other.count_ == 0) {
         return;
     }
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    // Only buckets inside other's observed [min, max] can be non-zero.
+    // Latencies cluster, so this reads a few of the 62 cache lines —
+    // the fleet health sampler merges every agent's histogram at every
+    // window barrier.
+    const std::size_t last = BucketIndex(other.max_);
+    for (std::size_t i = BucketIndex(other.min_); i <= last; ++i) {
         buckets_[i] += other.buckets_[i];
     }
     count_ += other.count_;

@@ -1,7 +1,10 @@
-// determinism-lint: allow-file(wall-clock) -- the two steady_clock
-// reads time the run for the human-facing report only; wall_seconds is
-// excluded from the behavior vector that SameBehavior() compares.
+// determinism-lint: allow-file(wall-clock) -- the steady_clock and
+// process-CPU-clock reads time the run for the report and the health
+// overhead probe only; wall_seconds and cpu_seconds are excluded from
+// the behavior vector that SameBehavior() compares.
 #include "workloads/scenarios.h"
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -243,6 +246,17 @@ BuildLibrary()
     return library;
 }
 
+/** CPU time consumed so far by every thread of this process. Unlike
+ *  wall time it does not grow while the process is descheduled. */
+double
+ProcessCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 }  // namespace
 
 std::uint64_t
@@ -325,9 +339,11 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
     }
 
     fleet::ShardedFleetRunner runner(fleet);
+    const double cpu_start = ProcessCpuSeconds();
     const auto start = std::chrono::steady_clock::now();
     runner.Run(shape.horizon);
     const auto end = std::chrono::steady_clock::now();
+    const double cpu_end = ProcessCpuSeconds();
     runner.Stop();
 
     // Fleet-wide roll-ups: runtime counters and the epoch-latency
@@ -361,6 +377,7 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
     result.total_events = runner.total_executed();
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
+    result.cpu_seconds = cpu_end - cpu_start;
     result.behavior = {
         {"agents", fleet_stats.total_agents},
         {"epochs", agents.epochs},

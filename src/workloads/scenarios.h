@@ -105,6 +105,8 @@ struct ScenarioResult {
     std::uint64_t driver_hash = 0;
     std::uint64_t total_events = 0;
     double wall_seconds = 0.0;
+    /** Process CPU time (all threads) spent in the fleet Run span. */
+    double cpu_seconds = 0.0;
 
     /**
      * Behavior verdict counters in a fixed order (stable across runs,

@@ -2,26 +2,26 @@
  * @file
  * Tests for the multi-agent node + cluster simulation subsystem:
  * InterferenceArbiter conflict resolution, MultiAgentNode lifecycle and
- * per-agent accounting, and ClusterDriver fleet determinism.
+ * per-agent accounting, and fleet determinism on one shard (the serial
+ * fleet: every node interleaved on one virtual clock).
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
-#include "cluster/cluster_driver.h"
 #include "cluster/interference_arbiter.h"
 #include "cluster/multi_agent_node.h"
 #include "cluster/threaded_multi_agent_node.h"
 #include "core/prediction.h"
+#include "fleet/fleet_runner.h"
 #include "sim/event_queue.h"
+#include "sim/rng.h"
 
 namespace sol {
 namespace {
 
 using cluster::ArbitrationPolicy;
-using cluster::ClusterConfig;
-using cluster::ClusterDriver;
 using cluster::InterferenceArbiter;
 using cluster::InterferenceArbiterConfig;
 using cluster::MultiAgentNode;
@@ -30,6 +30,18 @@ using cluster::ThreadedMultiAgentNode;
 using core::ActuationDomain;
 using core::ActuationIntent;
 using core::ActuationRequest;
+using fleet::FleetConfig;
+using fleet::ShardedFleetRunner;
+
+/** The serial fleet: every node on one shard, one virtual clock. */
+FleetConfig
+SerialFleetConfig(std::size_t num_nodes)
+{
+    FleetConfig config;
+    config.num_nodes = num_nodes;
+    config.num_shards = 1;
+    return config;
+}
 
 ActuationRequest
 Expand(const std::string& agent, ActuationDomain domain,
@@ -406,20 +418,19 @@ TEST(SyntheticAgents, CleanUpAllReleasesSyntheticHolds)
 TEST(SyntheticAgents, FleetRunsAreDeterministicAtFullPressure)
 {
     const auto run = [](std::uint64_t seed) {
-        ClusterConfig config;
-        config.num_nodes = 2;
+        FleetConfig config = SerialFleetConfig(2);
         config.base_seed = seed;
         config.node.synthetic_agents = 73;
-        ClusterDriver driver(config);
-        driver.Run(sim::Seconds(1));
+        ShardedFleetRunner fleet(config);
+        fleet.Run(sim::Seconds(1));
         struct Result {
             std::uint64_t trace_hash;
             std::uint64_t executed;
             std::uint64_t epochs;
             std::uint64_t arbiter;
-        } r{driver.queue().trace_hash(), driver.queue().executed(),
-            driver.Stats().total_epochs, driver.Stats().arbiter_requests};
-        driver.Stop();
+        } r{fleet.shard(0).queue().trace_hash(), fleet.total_executed(),
+            fleet.Stats().total_epochs, fleet.Stats().arbiter_requests};
+        fleet.Stop();
         return r;
     };
 
@@ -438,19 +449,18 @@ TEST(SyntheticAgents, FleetRunsAreDeterministicAtFullPressure)
 
 TEST(SyntheticAgents, QueuePendingLimitSurfacesInFleetMetrics)
 {
-    ClusterConfig config;
-    config.num_nodes = 1;
+    FleetConfig config = SerialFleetConfig(1);
     config.node.synthetic_agents = 40;
     config.queue_pending_limit = 32;  // Far below what 44 agents need.
-    ClusterDriver driver(config);
-    driver.Run(sim::Millis(500));
+    ShardedFleetRunner fleet(config);
+    fleet.Run(sim::Millis(500));
 
     telemetry::MetricRegistry out;
-    driver.CollectFleetMetrics(out);
+    fleet.CollectFleetMetrics(out);
     // The storm is loud: drops are counted, never silently absorbed.
     EXPECT_GT(out.Gauge("fleet.queue.dropped"), 0.0);
     EXPECT_LE(out.Gauge("fleet.queue.pending"), 32.0);
-    driver.Stop();
+    fleet.Stop();
 }
 
 // ---- ThreadedMultiAgentNode (real threads, real clock) -------------------
@@ -608,46 +618,45 @@ TEST(ThreadedMultiAgentNode, SingleAgentRestartWhilePeersRun)
     node.Stop();
 }
 
-// ---- ClusterDriver -------------------------------------------------------
+// ---- The serial fleet (one shard) ------------------------------------------
 
-TEST(ClusterDriver, StepsMultipleNodesOnOneSharedClock)
+TEST(SerialFleet, StepsMultipleNodesOnOneSharedClock)
 {
-    ClusterConfig config;
-    config.num_nodes = 3;
-    ClusterDriver driver(config);
-    driver.Run(sim::Seconds(2));
+    ShardedFleetRunner fleet(SerialFleetConfig(3));
+    ASSERT_EQ(fleet.num_shards(), 1u);
+    fleet.Run(sim::Seconds(2));
 
-    const cluster::FleetStats fleet = driver.Stats();
-    EXPECT_GT(fleet.total_epochs, 0u);
-    EXPECT_GT(fleet.total_actions, 0u);
-    for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-        EXPECT_GT(driver.node(i).TotalEpochs(), 0u)
+    const cluster::FleetStats stats = fleet.Stats();
+    EXPECT_GT(stats.total_epochs, 0u);
+    EXPECT_GT(stats.total_actions, 0u);
+    for (std::size_t i = 0; i < fleet.num_nodes(); ++i) {
+        EXPECT_GT(fleet.node(i).TotalEpochs(), 0u)
             << "node " << i << " made no progress";
     }
+    EXPECT_EQ(fleet.shard(0).queue().Now(), sim::Seconds(2));
 
     telemetry::MetricRegistry out;
-    driver.CollectFleetMetrics(out);
+    fleet.CollectFleetMetrics(out);
     EXPECT_EQ(out.Gauge("fleet.num_nodes"), 3.0);
     EXPECT_GT(out.Gauge("fleet.total_epochs"), 0.0);
     EXPECT_GT(out.Gauge("node0.smart-harvest.epochs"), 0.0);
     EXPECT_GT(out.Gauge("node2.smart-harvest.epochs"), 0.0);
-    driver.Stop();
+    fleet.Stop();
 }
 
-TEST(ClusterDriver, PerNodeRngStreamsAreIndependentButReproducible)
+TEST(SerialFleet, PerNodeRngStreamsAreIndependentButReproducible)
 {
     auto run = [](std::uint64_t base_seed) {
-        ClusterConfig config;
-        config.num_nodes = 2;
+        FleetConfig config = SerialFleetConfig(2);
         config.base_seed = base_seed;
-        ClusterDriver driver(config);
-        driver.Run(sim::Seconds(2));
+        ShardedFleetRunner fleet(config);
+        fleet.Run(sim::Seconds(2));
         std::vector<double> p99;
-        for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
+        for (std::size_t i = 0; i < fleet.num_nodes(); ++i) {
             p99.push_back(
-                driver.node(i).primary_workload().PerformanceValue());
+                fleet.node(i).primary_workload().PerformanceValue());
         }
-        driver.Stop();
+        fleet.Stop();
         return p99;
     };
 
@@ -657,21 +666,17 @@ TEST(ClusterDriver, PerNodeRngStreamsAreIndependentButReproducible)
     EXPECT_NE(a[0], a[1]);  // Nodes within a fleet diverge.
 
     // Distinct per-node seeds come out of the derivation.
-    EXPECT_NE(ClusterDriver::DeriveNodeSeed(1, 0),
-              ClusterDriver::DeriveNodeSeed(1, 1));
-    EXPECT_NE(ClusterDriver::DeriveNodeSeed(1, 0),
-              ClusterDriver::DeriveNodeSeed(2, 0));
+    EXPECT_NE(sim::DeriveStreamSeed(1, 0), sim::DeriveStreamSeed(1, 1));
+    EXPECT_NE(sim::DeriveStreamSeed(1, 0), sim::DeriveStreamSeed(2, 0));
 }
 
-TEST(ClusterDriver, CleanUpAllSweepsEveryNode)
+TEST(SerialFleet, CleanUpAllSweepsEveryNode)
 {
-    ClusterConfig config;
-    config.num_nodes = 2;
-    ClusterDriver driver(config);
-    driver.Run(sim::Seconds(2));
-    driver.CleanUpAll();
-    for (std::size_t i = 0; i < driver.num_nodes(); ++i) {
-        MultiAgentNode& node = driver.node(i);
+    ShardedFleetRunner fleet(SerialFleetConfig(2));
+    fleet.Run(sim::Seconds(2));
+    fleet.CleanUpAll();
+    for (std::size_t i = 0; i < fleet.num_nodes(); ++i) {
+        MultiAgentNode& node = fleet.node(i);
         EXPECT_EQ(node.node().VmFrequency(node.primary_vm()),
                   node.node().NominalFrequency());
         EXPECT_EQ(node.node().GrantedCores(node.elastic_vm()), 0);

@@ -703,6 +703,44 @@ TEST_F(SimRuntimeTest, StopHaltsBothLoops)
     EXPECT_FALSE(runtime->running());
 }
 
+TEST_F(SimRuntimeTest, StopLeavesNothingInTheQueue)
+{
+    Start();
+    queue.RunUntil(Millis(45));
+    EXPECT_GT(queue.pending(), 0u);
+    runtime->Stop();
+    // Stop cancels every event chain eagerly — no dead event lingers.
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
+/** Actuator that stops its own runtime from inside TakeAction. */
+class SelfStoppingActuator : public FakeActuator
+{
+  public:
+    void
+    TakeAction(std::optional<Prediction<int>> pred) override
+    {
+        FakeActuator::TakeAction(std::move(pred));
+        runtime->Stop();
+    }
+
+    SimRuntime<int, int>* runtime = nullptr;
+};
+
+TEST_F(SimRuntimeTest, StopFromOwnActuatorActsOnceAndDrainsTheQueue)
+{
+    SelfStoppingActuator stopper;
+    SimRuntime<int, int> self_stopping(queue, model, stopper,
+                                       FastSchedule());
+    stopper.runtime = &self_stopping;
+    self_stopping.Start();
+    queue.RunUntil(Seconds(1));
+    // The firing wake must not re-arm the timeout after its own Stop().
+    EXPECT_EQ(stopper.actions.size(), 1u);
+    EXPECT_FALSE(self_stopping.running());
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
 TEST_F(SimRuntimeTest, QueueBoundEvictsOldest)
 {
     RuntimeOptions options;

@@ -153,9 +153,9 @@ TEST(ShardedFleetRunner, HeterogeneousSchedulesStayDeterministic)
 
 TEST(ShardedFleetRunner, MatchesSerialShardComposition)
 {
-    // One shard holding the whole fleet is the serial ClusterDriver
-    // composition: more threads than shards must neither deadlock nor
-    // change the result.
+    // One shard holding the whole fleet is the serial composition:
+    // more threads than shards must neither deadlock nor change the
+    // result.
     auto run = [](std::size_t threads) {
         FleetConfig config = SmallFleet(3, threads);
         config.num_shards = 1;

@@ -456,19 +456,6 @@ TEST(EventQueueTest, TraceHashSeesTimingDivergence)
     EXPECT_NE(a.trace_hash(), b.trace_hash());
 }
 
-TEST(EventQueueTest, HandleOutlivesQueueSafely)
-{
-    EventHandle handle;
-    {
-        EventQueue queue;
-        handle = queue.ScheduleAt(Millis(1), [] {});
-    }
-    // The arena is shared-ptr-owned: operations on a handle whose
-    // queue died are safe no-ops.
-    handle.Cancel();
-    EXPECT_FALSE(handle.pending());
-}
-
 TEST(EventQueueTest, StatsTrackLifetimeCounters)
 {
     EventQueue queue;
@@ -529,6 +516,21 @@ TEST(PeriodicTaskTest, StopLeavesNothingInTheQueue)
     EXPECT_EQ(queue.pending(), 1u);  // The armed next tick.
     task.Stop();
     // Stop cancels the pending tick eagerly — no dead event lingers.
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(PeriodicTaskTest, StopFromOwnTickDoesNotRearm)
+{
+    EventQueue queue;
+    int count = 0;
+    PeriodicTask* self = nullptr;
+    PeriodicTask task(queue, Millis(10), [&] {
+        ++count;
+        self->Stop();
+    });
+    self = &task;
+    queue.RunUntil(Millis(100));
+    EXPECT_EQ(count, 1);
     EXPECT_EQ(queue.pending(), 0u);
 }
 
