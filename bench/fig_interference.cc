@@ -55,9 +55,10 @@ RunNode(MultiAgentNodeConfig config)
     result.harvested_core_s =
         node.metrics().Gauge("node.harvested_core_seconds");
     result.energy_j = node.node().EnergyJoules();
-    result.conflicts_observed = node.arbiter().conflicts_observed();
-    result.conflicts_resolved = node.arbiter().conflicts_resolved();
-    result.total_epochs = node.TotalEpochs();
+    const sol::cluster::FleetStats stats = node.Stats();
+    result.conflicts_observed = stats.conflicts_observed;
+    result.conflicts_resolved = stats.conflicts_resolved;
+    result.total_epochs = stats.agents.epochs;
     node.Stop();
     return result;
 }
@@ -135,9 +136,9 @@ main()
     fleet_table.Print(std::cout);
 
     const sol::cluster::FleetStats fleet = driver.Stats();
-    std::cout << "\nfleet totals: epochs=" << fleet.total_epochs
-              << " actions=" << fleet.total_actions
-              << " safeguard_triggers=" << fleet.safeguard_triggers
+    std::cout << "\nfleet totals: epochs=" << fleet.agents.epochs
+              << " actions=" << fleet.agents.actions_taken
+              << " safeguard_triggers=" << fleet.agents.safeguard_triggers
               << " conflicts_resolved=" << fleet.conflicts_resolved
               << "\n";
     json.AddTable("fleet_nodes", fleet_table);

@@ -261,9 +261,9 @@ main(int argc, char** argv)
                              "safeguard triggers", "arbiter requests",
                              "conflicts seen", "conflicts resolved"});
     fleet_table.AddRow({std::to_string(base.fleet.total_agents),
-                        std::to_string(base.fleet.total_epochs),
-                        std::to_string(base.fleet.total_actions),
-                        std::to_string(base.fleet.safeguard_triggers),
+                        std::to_string(base.fleet.agents.epochs),
+                        std::to_string(base.fleet.agents.actions_taken),
+                        std::to_string(base.fleet.agents.safeguard_triggers),
                         std::to_string(base.fleet.arbiter_requests),
                         std::to_string(base.fleet.conflicts_observed),
                         std::to_string(base.fleet.conflicts_resolved)});

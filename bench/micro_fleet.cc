@@ -226,9 +226,9 @@ main(int argc, char** argv)
                              "safeguard triggers", "arbiter requests",
                              "conflicts seen", "conflicts resolved"});
     fleet_table.AddRow({std::to_string(a.fleet.total_agents),
-                        std::to_string(a.fleet.total_epochs),
-                        std::to_string(a.fleet.total_actions),
-                        std::to_string(a.fleet.safeguard_triggers),
+                        std::to_string(a.fleet.agents.epochs),
+                        std::to_string(a.fleet.agents.actions_taken),
+                        std::to_string(a.fleet.agents.safeguard_triggers),
                         std::to_string(a.fleet.arbiter_requests),
                         std::to_string(a.fleet.conflicts_observed),
                         std::to_string(a.fleet.conflicts_resolved)});

@@ -203,12 +203,12 @@ RunSimOnce(const BenchConfig& bench, TraceSession* session, bool& ok,
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
     result.events = queue.stats().executed;
-    const sol::core::RuntimeStats total = node.AggregateStats();
-    result.epochs = total.epochs;
-    result.actions = total.actions_taken;
-    result.requests = node.arbiter().requests();
-    result.conflicts = node.arbiter().conflicts_resolved();
-    result.epoch_hist = node.EpochLatencyHistogram();
+    const sol::cluster::FleetStats total = node.Stats();
+    result.epochs = total.agents.epochs;
+    result.actions = total.agents.actions_taken;
+    result.requests = total.arbiter_requests;
+    result.conflicts = total.conflicts_resolved;
+    result.epoch_hist = total.epoch_latency;
 
     if (check) {
         ok = CheckAccounting("simulated", result.requests,
@@ -242,14 +242,14 @@ RunThreadedNode(const BenchConfig& bench, TraceSession* session, bool& ok)
     result.backend = "threaded";
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
-    const sol::core::RuntimeStats total = node.AggregateStats();
-    result.events = AgentOps(total);
-    result.epochs = total.epochs;
-    result.actions = total.actions_taken;
-    result.requests = node.arbiter().requests();
-    result.conflicts = node.arbiter().conflicts_resolved();
+    const sol::cluster::FleetStats total = node.Stats();
+    result.events = AgentOps(total.agents);
+    result.epochs = total.agents.epochs;
+    result.actions = total.agents.actions_taken;
+    result.requests = total.arbiter_requests;
+    result.conflicts = total.conflicts_resolved;
     result.lock_wait_ns = node.arbiter().lock_wait_ns();
-    result.epoch_hist = node.EpochLatencyHistogram();
+    result.epoch_hist = total.epoch_latency;
     result.admit_hist = node.arbiter().admit_histogram();
     result.lock_wait_hist = node.arbiter().lock_wait_histogram();
 

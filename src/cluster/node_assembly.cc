@@ -1,6 +1,7 @@
 #include "cluster/node_assembly.h"
 
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace sol::cluster {
@@ -8,6 +9,18 @@ namespace sol::cluster {
 namespace {
 
 using sim::DeriveStreamSeed;
+
+// Substrate sizing (the fig 7/8 memory setting; a few hot channels).
+constexpr std::size_t kMemoryBatches = 256;
+/** First-tier capacity. Matches kMemoryBatches: everything fits
+ *  locally, and demoting to the slow tier to save DRAM is entirely the
+ *  agent's choice. */
+constexpr std::size_t kFastTierBatches = 256;
+constexpr std::size_t kNumChannels = 32;
+constexpr std::size_t kHotChannels = 2;
+constexpr double kHotRatePerSec = 0.5;
+constexpr double kColdRatePerSec = 0.004;
+constexpr sim::Duration kChannelVisibility = sim::Seconds(2);
 
 node::NodeConfig
 MakeNodeConfig(const MultiAgentNodeConfig& config)
@@ -33,43 +46,16 @@ void
 WriteAgentRuntimeStats(telemetry::MetricScope scope,
                        const core::RuntimeStats& stats)
 {
-    scope.SetGauge("epochs", static_cast<double>(stats.epochs));
-    scope.SetGauge("samples_collected",
-                   static_cast<double>(stats.samples_collected));
-    scope.SetGauge("invalid_samples",
-                   static_cast<double>(stats.invalid_samples));
-    scope.SetGauge("model_updates",
-                   static_cast<double>(stats.model_updates));
-    scope.SetGauge("short_circuit_epochs",
-                   static_cast<double>(stats.short_circuit_epochs));
-    scope.SetGauge("model_assessments",
-                   static_cast<double>(stats.model_assessments));
-    scope.SetGauge("failed_assessments",
-                   static_cast<double>(stats.failed_assessments));
-    scope.SetGauge("intercepted_predictions",
-                   static_cast<double>(stats.intercepted_predictions));
-    scope.SetGauge("predictions_delivered",
-                   static_cast<double>(stats.predictions_delivered));
-    scope.SetGauge("default_predictions",
-                   static_cast<double>(stats.default_predictions));
-    scope.SetGauge("expired_predictions",
-                   static_cast<double>(stats.expired_predictions));
-    scope.SetGauge("dropped_while_halted",
-                   static_cast<double>(stats.dropped_while_halted));
-    scope.SetGauge("peak_queued_predictions",
-                   static_cast<double>(stats.peak_queued_predictions));
-    scope.SetGauge("actions_taken",
-                   static_cast<double>(stats.actions_taken));
-    scope.SetGauge("actions_with_prediction",
-                   static_cast<double>(stats.actions_with_prediction));
-    scope.SetGauge("actuator_timeouts",
-                   static_cast<double>(stats.actuator_timeouts));
-    scope.SetGauge("actuator_assessments",
-                   static_cast<double>(stats.actuator_assessments));
-    scope.SetGauge("safeguard_triggers",
-                   static_cast<double>(stats.safeguard_triggers));
-    scope.SetGauge("mitigations", static_cast<double>(stats.mitigations));
-    scope.SetGauge("halted_seconds", sim::ToSeconds(stats.halted_time));
+    core::ForEachCounter(
+        [&scope](const char* name, core::CounterKind, const auto& value) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(value)>,
+                                         sim::Duration>) {
+                scope.SetGauge(name, sim::ToSeconds(value));
+            } else {
+                scope.SetGauge(name, static_cast<double>(value));
+            }
+        },
+        stats);
 }
 
 /** Records a lifecycle instant on the control track, if there is one. */
@@ -91,9 +77,9 @@ MarkLifecycle(telemetry::trace::TraceRecorder* track, const char* what,
 
 NodeSubstrate::NodeSubstrate(const MultiAgentNodeConfig& config)
     : node(MakeNodeConfig(config)),
-      memory(config.memory_batches, config.fast_tier_batches),
-      channels(config.num_channels, config.channel_visibility),
-      policy(config.num_channels),
+      memory(kMemoryBatches, kFastTierBatches),
+      channels(kNumChannels, kChannelVisibility),
+      policy(kNumChannels),
       incident_rng(DeriveStreamSeed(config.seed, 1))
 {
     // --- Shared CPU substrate: one primary VM, one elastic VM. --------
@@ -110,20 +96,20 @@ NodeSubstrate::NodeSubstrate(const MultiAgentNodeConfig& config)
     // --- Memory substrate. --------------------------------------------
     workloads::ZipfMemoryConfig pattern_config =
         workloads::ObjectStoreMemConfig(DeriveStreamSeed(config.seed, 3));
-    pattern_config.num_batches = config.memory_batches;
+    pattern_config.num_batches = kMemoryBatches;
     memory_pattern =
         std::make_unique<workloads::ZipfMemoryPattern>(pattern_config);
 
     // --- Telemetry-channel substrate: a few hot channels. -------------
     sim::Rng rng(DeriveStreamSeed(config.seed, 0));
     for (node::ChannelId c = 0; c < channels.num_channels(); ++c) {
-        channels.SetIncidentRate(c, config.cold_rate_per_sec);
+        channels.SetIncidentRate(c, kColdRatePerSec);
     }
-    for (std::size_t picked = 0; picked < config.hot_channels;) {
+    for (std::size_t picked = 0; picked < kHotChannels;) {
         const auto c =
-            static_cast<node::ChannelId>(rng.NextBelow(config.num_channels));
-        if (channels.IncidentRate(c) < config.hot_rate_per_sec) {
-            channels.SetIncidentRate(c, config.hot_rate_per_sec);
+            static_cast<node::ChannelId>(rng.NextBelow(kNumChannels));
+        if (channels.IncidentRate(c) < kHotRatePerSec) {
+            channels.SetIncidentRate(c, kHotRatePerSec);
             ++picked;
         }
     }
@@ -218,53 +204,35 @@ NodeAssembly::CleanUpAll()
 void
 NodeAssembly::SampleHealth(sim::TimePoint at)
 {
-    const core::RuntimeStats stats = AggregateStats();
     const std::string p = config_.name.empty() ? "" : config_.name + ".";
-    telemetry::SharedTimeSeriesStore& health = *config_.health;
-    const auto append = [&health, &p, at](const char* name,
-                                          std::uint64_t value) {
-        health.Append(p + name, at, static_cast<std::int64_t>(value));
-    };
-    append("safeguard.trips", stats.safeguard_triggers);
-    append("safeguard.mitigations", stats.mitigations);
-    append("model.failures", stats.failed_assessments);
-    append("model.intercepted", stats.intercepted_predictions);
-    append("data.harvested", stats.samples_collected);
-    append("data.invalid", stats.invalid_samples);
-    append("epochs", stats.epochs);
-    append("actions", stats.actions_taken);
-    append("arbiter.requests", arbiter_.requests());
-    append("arbiter.denied", arbiter_.conflicts_resolved());
-    append("agent.halted_ns",
-           static_cast<std::uint64_t>(stats.halted_time.count()));
-    append("agent.active_ns",
-           num_agents() * static_cast<std::uint64_t>(at.count()));
-    const telemetry::LatencySnapshot s = EpochLatencyHistogram().Snapshot();
-    append("epoch_latency.count", s.count);
-    append("epoch_latency.p50_ns", s.p50_ns);
-    append("epoch_latency.p90_ns", s.p90_ns);
-    append("epoch_latency.p99_ns", s.p99_ns);
-    append("epoch_latency.p999_ns", s.p999_ns);
+    AppendHealthSample(*config_.health, at, Stats(), p, p);
 }
 
-std::uint64_t
-NodeAssembly::TotalEpochs() const
+FleetStats
+NodeAssembly::Stats() const
 {
-    std::uint64_t epochs = 0;
-    for (const AgentRuntime& slot : slots_) {
-        epochs += slot.stats().epochs;
-    }
-    return epochs;
+    return RollUp({});
 }
 
-core::RuntimeStats
-NodeAssembly::AggregateStats() const
+FleetStats
+NodeAssembly::RollUp(
+    const std::function<void(const std::string&, const core::RuntimeStats&)>&
+        each_agent) const
 {
-    core::RuntimeStats total;
+    FleetStats stats;
     for (const AgentRuntime& slot : slots_) {
-        total.Accumulate(slot.stats());
+        const core::RuntimeStats agent = slot.stats();
+        if (each_agent) {
+            each_agent(slot.name(), agent);
+        }
+        stats.agents.Accumulate(agent);
+        slot.MergeEpochLatencyInto(stats.epoch_latency);
     }
-    return total;
+    stats.total_agents = slots_.size();
+    stats.arbiter_requests = arbiter_.requests();
+    stats.conflicts_observed = arbiter_.conflicts_observed();
+    stats.conflicts_resolved = arbiter_.conflicts_resolved();
+    return stats;
 }
 
 core::RuntimeStats
@@ -276,16 +244,6 @@ NodeAssembly::AgentStats(const std::string& name) const
         }
     }
     return core::RuntimeStats{};
-}
-
-telemetry::LatencyHistogram
-NodeAssembly::EpochLatencyHistogram() const
-{
-    telemetry::LatencyHistogram merged;
-    for (const AgentRuntime& slot : slots_) {
-        slot.MergeEpochLatencyInto(merged);
-    }
-    return merged;
 }
 
 std::vector<std::string>
@@ -302,10 +260,12 @@ NodeAssembly::agent_names() const
 void
 NodeAssembly::CollectMetrics()
 {
-    for (const AgentRuntime& slot : slots_) {
-        WriteAgentRuntimeStats(telemetry::MetricScope(metrics_, slot.name()),
-                               slot.stats());
-    }
+    const FleetStats stats =
+        RollUp([this](const std::string& name,
+                      const core::RuntimeStats& agent) {
+            WriteAgentRuntimeStats(telemetry::MetricScope(metrics_, name),
+                                   agent);
+        });
     arbiter_.WriteMetrics();
 
     telemetry::MetricScope node_scope(metrics_, "node");
@@ -313,11 +273,11 @@ NodeAssembly::CollectMetrics()
         core::MutexLock lock(substrate_.mutex);
         substrate_.WriteMetrics(node_scope);
     }
-    node_scope.SetGauge("total_epochs", static_cast<double>(TotalEpochs()));
-    const telemetry::LatencyHistogram epoch_hist = EpochLatencyHistogram();
-    if (!epoch_hist.empty()) {
+    node_scope.SetGauge("total_epochs",
+                        static_cast<double>(stats.agents.epochs));
+    if (!stats.epoch_latency.empty()) {
         // Snapshot-overwrite, so repeated collections stay idempotent.
-        node_scope.SetHistogram("epoch_ns", epoch_hist);
+        node_scope.SetHistogram("epoch_ns", stats.epoch_latency);
     }
 }
 

@@ -12,10 +12,12 @@
  *     (stream 8+i, alternating domain, fleet-global tenant), each with
  *     its model and actuator built against the host's clock and wired
  *     to the node's InterferenceArbiter;
- *   - the slot/registry bookkeeping and every sweep and roll-up over it
- *     (StopAgent, StartAgent, CleanUpAll, TotalEpochs, AggregateStats,
- *     AgentStats, EpochLatencyHistogram, agent_names, CollectMetrics,
- *     and the node-health sample).
+ *   - the slot/registry bookkeeping and every sweep over it
+ *     (StopAgent, StartAgent, CleanUpAll, AgentStats, agent_names);
+ *   - the node's roll-up (Stats(): every agent's counters and epoch
+ *     latencies plus the arbiter's, in one pass over the slots), which
+ *     TotalEpochs, AggregateStats, EpochLatencyHistogram,
+ *     CollectMetrics and the node-health sample all read.
  *
  * A host (MultiAgentNode, ThreadedMultiAgentNode) derives from it and
  * supplies only how an agent runs. Assemble() asks the host for two
@@ -44,6 +46,7 @@
 #include "agents/smartmemory/smartmemory.h"
 #include "agents/smartmonitor/smartmonitor.h"
 #include "agents/smartoverclock/smartoverclock.h"
+#include "cluster/fleet_stats.h"
 #include "cluster/interference_arbiter.h"
 #include "cluster/synthetic_agent.h"
 #include "core/agent_registry.h"
@@ -121,18 +124,8 @@ struct MultiAgentNodeConfig {
     std::function<void(std::size_t, SyntheticAgentConfig&)>
         customize_synthetic;
 
-    // --- Substrate sizing -------------------------------------------------
+    // --- Substrate sizing (the rest is fixed; see NodeSubstrate) --------
     int total_cores = 16;
-    std::size_t memory_batches = 256;
-    /** First-tier capacity. Matches memory_batches (the fig 7/8
-     *  setting): everything fits locally, and demoting to the slow
-     *  tier to save DRAM is entirely the agent's choice. */
-    std::size_t fast_tier_batches = 256;
-    std::size_t num_channels = 32;
-    std::size_t hot_channels = 2;
-    double hot_rate_per_sec = 0.5;
-    double cold_rate_per_sec = 0.004;
-    sim::Duration channel_visibility = sim::Seconds(2);
 
     // --- Driver cadence ---------------------------------------------------
     /** Hypervisor tick advancing VMs/counters (50 us = paper sampling). */
@@ -190,7 +183,9 @@ struct MultiAgentNodeConfig {
 /**
  * The node substrate every agent shares, built from seed streams 0–3:
  * stream 0 picks the hot channels, 1 drives channel incidents, 2 the
- * primary VM's TailBench workload, 3 the memory access pattern.
+ * primary VM's TailBench workload, 3 the memory access pattern. Only
+ * the core count is configurable; the memory and channel sizing are
+ * fixed (node_assembly.cc).
  */
 struct NodeSubstrate {
     explicit NodeSubstrate(const MultiAgentNodeConfig& config);
@@ -320,19 +315,22 @@ class NodeAssembly
      *  the substrate gauges in metrics(). */
     void CollectMetrics();
 
-    /** Sum of learning epochs completed across enabled agents. */
-    std::uint64_t TotalEpochs() const;
+    /** The node's roll-up: every agent's counters (real and synthetic)
+     *  summed, their epoch-duration histograms merged (ns in the host's
+     *  timebase), and the arbiter's counters. Shards and the fleet sum
+     *  these. */
+    FleetStats Stats() const;
 
-    /** Field-wise sum of every agent runtime's counters (real and
-     *  synthetic) — the node-level roll-up fleet stats build on. */
-    core::RuntimeStats AggregateStats() const;
+    /** Reads of Stats(): learning epochs, counters, epoch durations. */
+    std::uint64_t TotalEpochs() const { return Stats().agents.epochs; }
+    core::RuntimeStats AggregateStats() const { return Stats().agents; }
+    telemetry::LatencyHistogram EpochLatencyHistogram() const
+    {
+        return Stats().epoch_latency;
+    }
 
     /** One agent's stats by name (zeros for unknown/disabled names). */
     core::RuntimeStats AgentStats(const std::string& name) const;
-
-    /** Merged epoch-duration histogram across every agent on the node
-     *  (ns in the host's timebase; always on). */
-    telemetry::LatencyHistogram EpochLatencyHistogram() const;
 
     /** Agent names in slot order: real agents, then synthetics. */
     std::vector<std::string> agent_names() const;
@@ -399,6 +397,13 @@ class NodeAssembly
     bool started_ = false;
 
   private:
+    /** Stats() in one pass over the slots, also handing each agent's
+     *  own counters to `each_agent` (when set). */
+    FleetStats RollUp(
+        const std::function<void(const std::string& name,
+                                 const core::RuntimeStats& stats)>&
+            each_agent) const;
+
     std::vector<SyntheticAgent*> synthetics_;
 
     // Registry last among agent state: its registrations' cleanups run

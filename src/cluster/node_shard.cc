@@ -6,18 +6,6 @@
 
 namespace sol::cluster {
 
-void
-FleetStats::Accumulate(const FleetStats& other)
-{
-    total_agents += other.total_agents;
-    total_epochs += other.total_epochs;
-    total_actions += other.total_actions;
-    safeguard_triggers += other.safeguard_triggers;
-    arbiter_requests += other.arbiter_requests;
-    conflicts_observed += other.conflicts_observed;
-    conflicts_resolved += other.conflicts_resolved;
-}
-
 NodeShard::NodeShard(const NodeShardConfig& config)
     : config_(config)
 {
@@ -90,14 +78,7 @@ NodeShard::Stats() const
 {
     FleetStats stats;
     for (const auto& node : nodes_) {
-        const core::RuntimeStats runtime = node->AggregateStats();
-        stats.total_agents += node->num_agents();
-        stats.total_epochs += runtime.epochs;
-        stats.total_actions += runtime.actions_taken;
-        stats.safeguard_triggers += runtime.safeguard_triggers;
-        stats.arbiter_requests += node->arbiter().requests();
-        stats.conflicts_observed += node->arbiter().conflicts_observed();
-        stats.conflicts_resolved += node->arbiter().conflicts_resolved();
+        stats.Accumulate(node->Stats());
     }
     return stats;
 }
@@ -121,17 +102,24 @@ WriteFleetScope(telemetry::MetricRegistry& out, const FleetStats& fleet,
     scope.SetGauge("total_agents",
                    static_cast<double>(fleet.total_agents));
     scope.SetGauge("total_epochs",
-                   static_cast<double>(fleet.total_epochs));
+                   static_cast<double>(fleet.agents.epochs));
     scope.SetGauge("total_actions",
-                   static_cast<double>(fleet.total_actions));
+                   static_cast<double>(fleet.agents.actions_taken));
     scope.SetGauge("safeguard_triggers",
-                   static_cast<double>(fleet.safeguard_triggers));
+                   static_cast<double>(fleet.agents.safeguard_triggers));
     scope.SetGauge("arbiter_requests",
                    static_cast<double>(fleet.arbiter_requests));
     scope.SetGauge("conflicts_observed",
                    static_cast<double>(fleet.conflicts_observed));
     scope.SetGauge("conflicts_resolved",
                    static_cast<double>(fleet.conflicts_resolved));
+
+    // Fleet-wide epoch-duration distribution (virtual ns): the merge is
+    // bucket-wise addition, so the result is exact and independent of
+    // shard/thread layout.
+    if (!fleet.epoch_latency.empty()) {
+        scope.SetHistogram("epoch_ns", fleet.epoch_latency);
+    }
 
     // Queue health: arena footprint and drop counters are fleet-level
     // signals however many shard queues the fleet runs on.

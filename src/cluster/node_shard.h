@@ -26,26 +26,13 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/fleet_stats.h"
 #include "cluster/multi_agent_node.h"
 #include "sim/event_queue.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
 namespace sol::cluster {
-
-/** Roll-up counters across a group of nodes (shard or whole fleet). */
-struct FleetStats {
-    std::uint64_t total_agents = 0;  ///< Real + synthetic, all nodes.
-    std::uint64_t total_epochs = 0;
-    std::uint64_t total_actions = 0;
-    std::uint64_t safeguard_triggers = 0;
-    std::uint64_t arbiter_requests = 0;
-    std::uint64_t conflicts_observed = 0;
-    std::uint64_t conflicts_resolved = 0;
-
-    /** Field-wise sum, for rolling shard stats up to fleet totals. */
-    void Accumulate(const FleetStats& other);
-};
 
 /** Configuration of one shard: a contiguous slice of the fleet. */
 struct NodeShardConfig {
@@ -119,7 +106,7 @@ class NodeShard
     /** SRE incident response: cleans up every agent on every node. */
     void CleanUpAll();
 
-    /** Roll-up counters across the shard's nodes. */
+    /** The shard's roll-up: the sum of its nodes' Stats(). */
     FleetStats Stats() const;
 
     /** Merges per-node metrics (namespaced by node name) into `out`. */
@@ -148,9 +135,10 @@ class NodeShard
 };
 
 /**
- * Writes fleet roll-up counters plus one queue's health gauges into a
- * "fleet"-scoped section of `out`. fleet::ShardedFleetRunner sums its
- * per-shard queue stats before the call.
+ * Writes the fleet roll-up (counters and the merged epoch histogram)
+ * plus one queue's health gauges into a "fleet"-scoped section of
+ * `out`. fleet::ShardedFleetRunner sums its per-shard queue stats
+ * before the call.
  */
 void WriteFleetScope(telemetry::MetricRegistry& out,
                      const FleetStats& fleet, std::size_t num_nodes,

@@ -114,8 +114,11 @@ struct AtomicStatsOps {
     static void
     AddHaltedTime(Stats& stats, sim::Duration d)
     {
-        stats.halted_time_ns.fetch_add(d.count(),
-                                       std::memory_order_relaxed);
+        sim::Duration seen =
+            stats.halted_time.load(std::memory_order_relaxed);
+        while (!stats.halted_time.compare_exchange_weak(
+            seen, seen + d, std::memory_order_relaxed)) {
+        }
     }
 };
 

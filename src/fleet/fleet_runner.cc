@@ -215,64 +215,22 @@ ShardedFleetRunner::Run(sim::Duration span)
 void
 ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
 {
-    // Workers are parked at the start barrier, so walking every node is
-    // race-free; the walk only reads, so it is observe-only. Everything
-    // appended is an integer derived from deterministic per-node state
-    // at a barrier-synced virtual horizon — identical across repeat
-    // runs and thread counts by the same argument as fleet_trace_hash.
+    // Workers are parked at the start barrier, so the roll-up's walk
+    // over every node is race-free; it only reads, so it is
+    // observe-only. Everything appended is an integer derived from
+    // deterministic per-node state at a barrier-synced virtual horizon
+    // — identical across repeat runs and thread counts by the same
+    // argument as fleet_trace_hash.
     telemetry::TimeSeriesStore& health = *config_.health;
-
-    core::RuntimeStats stats;
-    telemetry::LatencyHistogram epoch_hist;
-    std::uint64_t arbiter_requests = 0;
-    std::uint64_t arbiter_denied = 0;
-    std::uint64_t total_agents = 0;
-    for (auto& shard : shards_) {
-        for (std::size_t n = 0; n < shard->num_nodes(); ++n) {
-            cluster::MultiAgentNode& node = shard->node(n);
-            stats.Accumulate(node.AggregateStats());
-            epoch_hist.Merge(node.EpochLatencyHistogram());
-            arbiter_requests += node.arbiter().requests();
-            arbiter_denied += node.arbiter().conflicts_resolved();
-            total_agents += node.num_agents();
-        }
-    }
+    cluster::AppendHealthSample(health, at, Stats(), "fleet.",
+                                "fleet.node.");
     const sim::EventQueueStats queue = QueueStats();
-
-    const auto append = [&health, at](const char* name,
-                                      std::uint64_t value) {
-        health.Append(name, at, static_cast<std::int64_t>(value));
-    };
-    append("fleet.safeguard.trips", stats.safeguard_triggers);
-    append("fleet.safeguard.mitigations", stats.mitigations);
-    append("fleet.model.failures", stats.failed_assessments);
-    append("fleet.model.intercepted", stats.intercepted_predictions);
-    append("fleet.data.harvested", stats.samples_collected);
-    append("fleet.data.invalid", stats.invalid_samples);
-    append("fleet.epochs", stats.epochs);
-    append("fleet.actions", stats.actions_taken);
-    append("fleet.queue.executed", queue.executed);
-    append("fleet.queue.dropped", queue.dropped);
-    append("fleet.queue.pending", queue.pending);
-    append("fleet.arbiter.requests", arbiter_requests);
-    append("fleet.arbiter.denied", arbiter_denied);
-
-    // Error-budget denominators for time-fraction SLOs: cumulative
-    // halted agent-time against cumulative scheduled agent-time
-    // (agents x elapsed virtual time, exact integer math).
-    append("fleet.agent.halted_ns",
-           static_cast<std::uint64_t>(stats.halted_time.count()));
-    append("fleet.agent.active_ns",
-           total_agents * static_cast<std::uint64_t>(at.count()));
-
-    // Fleet-wide epoch-latency percentiles (merged bucket-wise, so
-    // exact and layout-independent).
-    const telemetry::LatencySnapshot s = epoch_hist.Snapshot();
-    append("fleet.node.epoch_latency.count", s.count);
-    append("fleet.node.epoch_latency.p50_ns", s.p50_ns);
-    append("fleet.node.epoch_latency.p90_ns", s.p90_ns);
-    append("fleet.node.epoch_latency.p99_ns", s.p99_ns);
-    append("fleet.node.epoch_latency.p999_ns", s.p999_ns);
+    health.Append("fleet.queue.executed", at,
+                  static_cast<std::int64_t>(queue.executed));
+    health.Append("fleet.queue.dropped", at,
+                  static_cast<std::int64_t>(queue.dropped));
+    health.Append("fleet.queue.pending", at,
+                  static_cast<std::int64_t>(queue.pending));
 
     if (config_.alerts != nullptr) {
         config_.alerts->Evaluate(health, at, fleet_trace_);
@@ -379,19 +337,6 @@ ShardedFleetRunner::CollectFleetMetrics(telemetry::MetricRegistry& out)
     telemetry::MetricScope scope(out, "fleet");
     scope.SetGauge("num_shards", static_cast<double>(shards_.size()));
     scope.SetGauge("num_threads", static_cast<double>(workers_.size()));
-
-    // Fleet-wide epoch-duration distribution (virtual ns): the merge is
-    // bucket-wise addition, so the result is exact and independent of
-    // shard/thread layout.
-    telemetry::LatencyHistogram epoch_hist;
-    for (auto& shard : shards_) {
-        for (std::size_t n = 0; n < shard->num_nodes(); ++n) {
-            epoch_hist.Merge(shard->node(n).EpochLatencyHistogram());
-        }
-    }
-    if (!epoch_hist.empty()) {
-        scope.SetHistogram("epoch_ns", epoch_hist);
-    }
 }
 
 }  // namespace sol::fleet

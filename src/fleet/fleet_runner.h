@@ -126,9 +126,9 @@ struct FleetConfig {
      * Health timeline store sampled at window barriers (null disables).
      * Every `health_every_n_windows`-th barrier, the main thread —
      * workers parked, so no races and no dependence on thread count —
-     * walks every node and appends the fleet's health counters,
-     * error-budget denominators, and the merged epoch-latency
-     * percentiles as "fleet.*" series at the window's virtual horizon.
+     * appends the fleet roll-up's health series (cluster::
+     * AppendHealthSample) plus the queue's as "fleet.*" series at the
+     * window's virtual horizon.
      * Sampling is observe-only: it schedules no events and mutates no
      * sampled state, so enabling it leaves fleet_trace_hash() and every
      * per-shard trace byte-identical. Caller owns the store.
@@ -195,7 +195,8 @@ class ShardedFleetRunner
      */
     void DrainNode(std::size_t global_index);
 
-    /** Roll-up counters across every node in the fleet. */
+    /** The fleet's roll-up: the sum of every shard's Stats() (health
+     *  samples, CollectFleetMetrics and scenario verdicts read it). */
     cluster::FleetStats Stats() const;
 
     /** Field-wise sum of every shard queue's counters. `pending` and

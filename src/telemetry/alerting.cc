@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/json_escape.h"
+
 namespace sol::telemetry {
 
 void
@@ -301,44 +303,6 @@ DefaultFleetAlertRules()
 
     return rules;
 }
-
-namespace {
-
-/** Minimal JSON string escaping (alert/series names are identifiers,
- *  but the schema should survive arbitrary rule names). */
-std::string
-JsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-}  // namespace
 
 void
 HealthReportWriter::Write(std::ostream& os, const std::string& name,

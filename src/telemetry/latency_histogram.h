@@ -86,6 +86,8 @@ class LatencyHistogram
      *  struct (the shape MetricRegistry::WriteJson emits). */
     LatencySnapshot Snapshot() const;
 
+    bool operator==(const LatencyHistogram&) const = default;
+
   private:
     static std::size_t BucketIndex(std::uint64_t value_ns);
     static std::uint64_t BucketRepresentative(std::size_t index);

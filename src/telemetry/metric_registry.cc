@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/json_escape.h"
+
 namespace sol::telemetry {
 
 namespace {
@@ -157,25 +159,6 @@ MetricRegistry::Series(const std::string& name) const
 }
 
 void
-MetricRegistry::PrintSummary(std::ostream& os) const
-{
-    for (const auto& [name, value] : counters_) {
-        os << "  " << name << " = " << value << "\n";
-    }
-    os << std::fixed << std::setprecision(4);
-    for (const auto& [name, value] : gauges_) {
-        os << "  " << name << " = " << value << "\n";
-    }
-    os.unsetf(std::ios_base::floatfield);
-    for (const auto& [name, histogram] : histograms_) {
-        const LatencySnapshot snapshot = histogram.Snapshot();
-        os << "  " << name << " = n=" << snapshot.count << " p50="
-           << snapshot.p50_ns << " p99=" << snapshot.p99_ns
-           << " max=" << snapshot.max_ns << " ns\n";
-    }
-}
-
-void
 MetricRegistry::PrintSeriesCsv(std::ostream& os,
                                const std::string& name) const
 {
@@ -185,39 +168,6 @@ MetricRegistry::PrintSeriesCsv(std::ostream& os,
 }
 
 namespace {
-
-/** Escapes a string for use inside a JSON string literal. */
-std::string
-JsonEscape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Formats a double as JSON (finite numbers only; else null). */
 std::string

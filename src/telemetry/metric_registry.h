@@ -110,10 +110,6 @@ class MetricRegistry
     bool HasSeries(const std::string& name) const;
     bool HasHistogram(const std::string& name) const;
 
-    /** Writes all counters, gauges, and histogram summaries as an
-     *  aligned two-column table. */
-    void PrintSummary(std::ostream& os) const;
-
     /**
      * Writes one series as CSV rows (x,y). An unknown name writes
      * nothing — no header, no error — matching Series()'s empty-result

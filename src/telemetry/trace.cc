@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/json_escape.h"
+
 namespace sol::telemetry::trace {
 
 namespace {
@@ -16,31 +18,6 @@ std::size_t
 RoundCapacity(std::size_t capacity)
 {
     return std::bit_ceil(std::max<std::size_t>(capacity, 2));
-}
-
-/** Escapes a string for a JSON string literal. */
-void
-AppendEscaped(std::string& out, std::string_view text)
-{
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
 }
 
 /** Formats nanoseconds as microseconds with exactly three fractional
@@ -68,9 +45,9 @@ AppendEventJson(std::string& out, const TraceEvent& event, int tid)
     out += R"(","pid":1,"tid":)";
     out += std::to_string(tid);
     out += R"(,"name":")";
-    AppendEscaped(out, event.name);
+    AppendJsonEscaped(out, event.name);
     out += R"(","cat":")";
-    AppendEscaped(out, event.category);
+    AppendJsonEscaped(out, event.category);
     out += R"(","ts":)";
     AppendMicros(out, event.ts_ns);
     if (event.kind == TraceEvent::Kind::kComplete) {
@@ -88,7 +65,7 @@ AppendEventJson(std::string& out, const TraceEvent& event, int tid)
             }
             first = false;
             out += '"';
-            AppendEscaped(out, event.args[i].key);
+            AppendJsonEscaped(out, event.args[i].key);
             out += "\":";
             out += std::to_string(event.args[i].value);
         }
@@ -97,9 +74,9 @@ AppendEventJson(std::string& out, const TraceEvent& event, int tid)
                 out += ',';
             }
             out += '"';
-            AppendEscaped(out, event.string_key);
+            AppendJsonEscaped(out, event.string_key);
             out += "\":\"";
-            AppendEscaped(out, event.string_value);
+            AppendJsonEscaped(out, event.string_value);
             out += '"';
         }
         out += '}';
@@ -309,7 +286,7 @@ ChromeTraceWriter::ToString(TraceSession& session)
         out += R"({"ph":"M","pid":1,"tid":)";
         out += std::to_string(tid);
         out += R"(,"name":"thread_name","args":{"name":")";
-        AppendEscaped(out, recorder.track());
+        AppendJsonEscaped(out, recorder.track());
         out += "\"}}";
         recorder.ConsumeAll([&out, tid](const TraceEvent& event) {
             out += ",\n";

@@ -346,17 +346,15 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
     const double cpu_end = ProcessCpuSeconds();
     runner.Stop();
 
-    // Fleet-wide roll-ups: runtime counters and the epoch-latency
-    // distribution summed/merged over every agent of every node, plus
-    // the synthetic actuators' arbiter-facing accounting.
-    core::RuntimeStats agents;
-    telemetry::LatencyHistogram epoch_hist;
+    // The fleet roll-up (every agent's counters and epoch latencies,
+    // every arbiter's), plus the synthetic actuators' arbiter-facing
+    // accounting.
+    const cluster::FleetStats fleet_stats = runner.Stats();
+    const core::RuntimeStats& agents = fleet_stats.agents;
     std::uint64_t expands_admitted = 0;
     std::uint64_t expands_denied = 0;
     for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
         cluster::MultiAgentNode& node = runner.node(i);
-        agents.Accumulate(node.AggregateStats());
-        epoch_hist.Merge(node.EpochLatencyHistogram());
         for (std::size_t j = 0; j < node.num_synthetic_agents(); ++j) {
             const cluster::SyntheticActuator& actuator =
                 node.synthetic_agent(j).actuator();
@@ -364,9 +362,9 @@ RunScenario(const Scenario& scenario, const ScenarioOptions& options)
             expands_denied += actuator.expands_denied();
         }
     }
-    const cluster::FleetStats fleet_stats = runner.Stats();
     const sim::EventQueueStats queue = runner.QueueStats();
-    const telemetry::LatencySnapshot latency = epoch_hist.Snapshot();
+    const telemetry::LatencySnapshot latency =
+        fleet_stats.epoch_latency.Snapshot();
 
     ScenarioResult result;
     result.name = scenario.name;

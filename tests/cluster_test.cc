@@ -429,7 +429,7 @@ TEST(SyntheticAgents, FleetRunsAreDeterministicAtFullPressure)
             std::uint64_t epochs;
             std::uint64_t arbiter;
         } r{fleet.shard(0).queue().trace_hash(), fleet.total_executed(),
-            fleet.Stats().total_epochs, fleet.Stats().arbiter_requests};
+            fleet.Stats().agents.epochs, fleet.Stats().arbiter_requests};
         fleet.Stop();
         return r;
     };
@@ -627,8 +627,8 @@ TEST(SerialFleet, StepsMultipleNodesOnOneSharedClock)
     fleet.Run(sim::Seconds(2));
 
     const cluster::FleetStats stats = fleet.Stats();
-    EXPECT_GT(stats.total_epochs, 0u);
-    EXPECT_GT(stats.total_actions, 0u);
+    EXPECT_GT(stats.agents.epochs, 0u);
+    EXPECT_GT(stats.agents.actions_taken, 0u);
     for (std::size_t i = 0; i < fleet.num_nodes(); ++i) {
         EXPECT_GT(fleet.node(i).TotalEpochs(), 0u)
             << "node " << i << " made no progress";

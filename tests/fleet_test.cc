@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -15,7 +16,9 @@
 
 #include "cluster/node_shard.h"
 #include "cluster/synthetic_agent.h"
+#include "core/runtime_stats.h"
 #include "fleet/fleet_runner.h"
+#include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
 
 namespace sol {
@@ -61,7 +64,7 @@ Fingerprint(ShardedFleetRunner& runner)
 {
     const cluster::FleetStats stats = runner.Stats();
     return {runner.fleet_trace_hash(), runner.total_executed(),
-            stats.total_epochs, stats.arbiter_requests};
+            stats.agents.epochs, stats.arbiter_requests};
 }
 
 // ---- NodeShard: the extracted shard-steppable core ----------------------
@@ -82,7 +85,7 @@ TEST(NodeShard, GlobalIndexingMatchesSerialDriver)
     EXPECT_EQ(shard.first_node_index(), 2u);
 
     shard.Run(sim::Seconds(1));
-    EXPECT_GT(shard.Stats().total_epochs, 0u);
+    EXPECT_GT(shard.Stats().agents.epochs, 0u);
     shard.Stop();
 }
 
@@ -169,6 +172,59 @@ TEST(ShardedFleetRunner, MatchesSerialShardComposition)
     const FleetFingerprint serial = run(1);
     const FleetFingerprint wide = run(4);
     EXPECT_EQ(serial, wide);
+}
+
+TEST(ShardedFleetRunner, StatsRollUpEveryNode)
+{
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+        FleetConfig config = SmallFleet(4, threads);
+        config.num_shards = 2;  // Node -> shard -> fleet, two nodes each.
+        ShardedFleetRunner runner(config);
+        runner.Run(sim::Millis(600));
+        runner.Stop();
+
+        // The expectation sums node by node, field by field, without
+        // going through FleetStats.
+        core::RuntimeStats agents;
+        telemetry::LatencyHistogram epochs;
+        std::uint64_t total_agents = 0;
+        std::uint64_t requests = 0;
+        std::uint64_t observed = 0;
+        std::uint64_t resolved = 0;
+        for (std::size_t i = 0; i < runner.num_nodes(); ++i) {
+            cluster::MultiAgentNode& node = runner.node(i);
+            const core::RuntimeStats node_agents = node.AggregateStats();
+            core::ForEachCounter(
+                [](const char*, core::CounterKind kind, auto& sum,
+                   const auto& value) {
+                    sum = kind == core::CounterKind::kPeak
+                              ? std::max(sum, value)
+                              : sum + value;
+                },
+                agents, node_agents);
+            epochs.Merge(node.EpochLatencyHistogram());
+            total_agents += node.num_agents();
+            requests += node.arbiter().requests();
+            observed += node.arbiter().conflicts_observed();
+            resolved += node.arbiter().conflicts_resolved();
+        }
+
+        const cluster::FleetStats stats = runner.Stats();
+        core::ForEachCounter(
+            [threads](const char* name, core::CounterKind,
+                      const auto& rolled, const auto& summed) {
+                EXPECT_EQ(rolled, summed) << name << ", " << threads
+                                          << " threads";
+            },
+            stats.agents, agents);
+        EXPECT_GT(stats.agents.epochs, 0u);
+        EXPECT_TRUE(stats.epoch_latency == epochs) << threads << " threads";
+        EXPECT_EQ(stats.epoch_latency.count(), stats.agents.epochs);
+        EXPECT_EQ(stats.total_agents, total_agents);
+        EXPECT_EQ(stats.arbiter_requests, requests);
+        EXPECT_EQ(stats.conflicts_observed, observed);
+        EXPECT_EQ(stats.conflicts_resolved, resolved);
+    }
 }
 
 // ---- Shard-partition edge cases ------------------------------------------

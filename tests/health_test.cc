@@ -624,6 +624,42 @@ TEST(NodeHealth, DriverTickSamplesAtConfiguredPeriod)
     EXPECT_NE(snapshot.Find("node0.agent.active_ns"), nullptr);
 }
 
+TEST(NodeHealth, NodeSeriesCarryExpectedNames)
+{
+    sim::EventQueue queue;
+    SharedTimeSeriesStore health;
+    cluster::MultiAgentNodeConfig config;
+    config.name = "node3";
+    config.synthetic_agents = 2;
+    config.health = &health;
+    config.health_period = sim::Millis(100);
+    cluster::MultiAgentNode node(queue, config);
+    node.Start();
+    queue.RunFor(sim::Millis(300));
+    node.Stop();
+
+    // The fleet's series minus its queue.* ones, under the node's name;
+    // the epoch latencies sit directly under it (no "node." scope).
+    const TimeSeriesStore snapshot = health.Snapshot();
+    for (const char* name :
+         {"node3.epochs", "node3.data.harvested", "node3.data.invalid",
+          "node3.safeguard.trips", "node3.safeguard.mitigations",
+          "node3.model.failures", "node3.model.intercepted",
+          "node3.actions", "node3.arbiter.requests",
+          "node3.arbiter.denied", "node3.agent.halted_ns",
+          "node3.agent.active_ns", "node3.epoch_latency.count",
+          "node3.epoch_latency.p50_ns", "node3.epoch_latency.p90_ns",
+          "node3.epoch_latency.p99_ns", "node3.epoch_latency.p999_ns"}) {
+        EXPECT_NE(snapshot.Find(name), nullptr) << name;
+    }
+    EXPECT_EQ(snapshot.num_series(), 17u);
+    // active_ns is the SLO denominator: agents x elapsed virtual time.
+    std::int64_t active = 0;
+    ASSERT_TRUE(
+        snapshot.ValueAt("node3.agent.active_ns", Ms(300), &active));
+    EXPECT_EQ(active, (2 + 4) * Ms(300).count());
+}
+
 TEST(NodeHealth, RejectsNonPositivePeriod)
 {
     SharedTimeSeriesStore health;

@@ -351,29 +351,11 @@ RunThreadedLeg(const Scenario& scenario)
 void
 ExpectStatsEqual(const RuntimeStats& sim, const RuntimeStats& threaded)
 {
-    EXPECT_EQ(sim.samples_collected, threaded.samples_collected);
-    EXPECT_EQ(sim.invalid_samples, threaded.invalid_samples);
-    EXPECT_EQ(sim.epochs, threaded.epochs);
-    EXPECT_EQ(sim.model_updates, threaded.model_updates);
-    EXPECT_EQ(sim.short_circuit_epochs, threaded.short_circuit_epochs);
-    EXPECT_EQ(sim.model_assessments, threaded.model_assessments);
-    EXPECT_EQ(sim.failed_assessments, threaded.failed_assessments);
-    EXPECT_EQ(sim.intercepted_predictions,
-              threaded.intercepted_predictions);
-    EXPECT_EQ(sim.predictions_delivered, threaded.predictions_delivered);
-    EXPECT_EQ(sim.default_predictions, threaded.default_predictions);
-    EXPECT_EQ(sim.expired_predictions, threaded.expired_predictions);
-    EXPECT_EQ(sim.dropped_while_halted, threaded.dropped_while_halted);
-    EXPECT_EQ(sim.peak_queued_predictions,
-              threaded.peak_queued_predictions);
-    EXPECT_EQ(sim.actions_taken, threaded.actions_taken);
-    EXPECT_EQ(sim.actions_with_prediction,
-              threaded.actions_with_prediction);
-    EXPECT_EQ(sim.actuator_timeouts, threaded.actuator_timeouts);
-    EXPECT_EQ(sim.actuator_assessments, threaded.actuator_assessments);
-    EXPECT_EQ(sim.safeguard_triggers, threaded.safeguard_triggers);
-    EXPECT_EQ(sim.mitigations, threaded.mitigations);
-    EXPECT_EQ(sim.halted_time.count(), threaded.halted_time.count());
+    ForEachCounter(
+        [](const char* name, CounterKind, const auto& s, const auto& t) {
+            EXPECT_EQ(s, t) << name;
+        },
+        sim, threaded);
 }
 
 std::vector<ScenarioTick>

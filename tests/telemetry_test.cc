@@ -11,9 +11,12 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/alerting.h"
 #include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/online_stats.h"
+#include "telemetry/timeseries.h"
+#include "telemetry/trace.h"
 #include "telemetry/window_percentile.h"
 
 namespace sol::telemetry {
@@ -782,6 +785,35 @@ TEST(MetricRegistryTest, VisitHooksWalkNameOrdered)
             ++histograms;
         });
     EXPECT_EQ(histograms, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// JSON string escaping, shared by every writer
+// ---------------------------------------------------------------------------
+
+TEST(JsonEscapeTest, EveryWriterEscapesANameIdentically)
+{
+    const std::string name = "q\"b\\n\nr\rt\tc\x01.";
+    const std::string escaped = R"(q\"b\\n\nr\rt\tc\u0001.)";
+
+    std::ostringstream bench;
+    BenchJson(name).Write(bench);
+    EXPECT_NE(bench.str().find("\"bench\": \"" + escaped + "\""),
+              std::string::npos)
+        << bench.str();
+
+    const std::string health =
+        HealthReportWriter::ToString(name, TimeSeriesStore(), AlertEngine());
+    EXPECT_NE(health.find("\"health\": \"" + escaped + "\""),
+              std::string::npos)
+        << health;
+
+    trace::TraceSession session;
+    session.NewRecorder(name, nullptr);
+    const std::string chrome = trace::ChromeTraceWriter::ToString(session);
+    EXPECT_NE(chrome.find("\"args\":{\"name\":\"" + escaped + "\"}"),
+              std::string::npos)
+        << chrome;
 }
 
 }  // namespace
