@@ -6,6 +6,9 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <vector>
+
 #include "core/schedule.h"
 #include "ml/cost_sensitive.h"
 #include "ml/qlearning.h"
@@ -101,6 +104,62 @@ BM_EventQueueCancelChurn(benchmark::State& state)
         static_cast<std::int64_t>(queue.executed() - before));
 }
 BENCHMARK(BM_EventQueueCancelChurn);
+
+// One fleet_steady node's timer traffic, the mix the queue's calendar
+// ring is sized for: the node tick and SmartHarvest every 50 us, 73
+// synthetic agents collecting every ~10 ms (period drawn per agent,
+// +-15%), each 5-collect epoch re-arming a 200-250 ms timeout (so about
+// one cancelled per epoch), and a 1 s assessment per agent.
+void
+BM_EventQueueFleetMix(benchmark::State& state)
+{
+    constexpr int kAgents = 73;
+    constexpr int kCollectsPerEpoch = 5;
+    struct Agent {
+        sol::sim::Duration period;
+        int collects = 0;
+        sol::sim::EventHandle timeout;
+    };
+    sol::sim::EventQueue queue;
+    sol::sim::Rng rng(1);
+    std::vector<Agent> agents(kAgents);
+    std::function<void(int)> tick = [&](int stream) {
+        queue.ScheduleAfter(sol::sim::Micros(50),
+                            [&tick, stream] { tick(stream); });
+    };
+    std::function<void(int)> collect = [&](int i) {
+        Agent& agent = agents[static_cast<std::size_t>(i)];
+        if (agent.collects++ % kCollectsPerEpoch == 0) {
+            agent.timeout.Cancel();
+            agent.timeout = queue.ScheduleAfter(
+                sol::sim::Millis(200 + rng.NextInRange(0, 50)), [] {});
+        }
+        queue.ScheduleAfter(agent.period, [&collect, i] { collect(i); });
+    };
+    std::function<void(int)> assess = [&](int i) {
+        queue.ScheduleAfter(sol::sim::Seconds(1),
+                            [&assess, i] { assess(i); });
+    };
+    queue.ScheduleAfter(sol::sim::Micros(0), [&tick] { tick(0); });
+    queue.ScheduleAfter(sol::sim::Micros(25), [&tick] { tick(1); });
+    for (int i = 0; i < kAgents; ++i) {
+        Agent& agent = agents[static_cast<std::size_t>(i)];
+        agent.period =
+            sol::sim::SecondsF(0.010 * (0.85 + 0.3 * rng.NextDouble()));
+        queue.ScheduleAfter(
+            sol::sim::SecondsF(0.010 * rng.NextDouble()),
+            [&collect, i] { collect(i); });
+        queue.ScheduleAfter(sol::sim::SecondsF(rng.NextDouble()),
+                            [&assess, i] { assess(i); });
+    }
+    const std::uint64_t before = queue.executed();
+    for (auto _ : state) {
+        queue.RunFor(sol::sim::Millis(1));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(queue.executed() - before));
+}
+BENCHMARK(BM_EventQueueFleetMix);
 
 void
 BM_QLearnerUpdate(benchmark::State& state)

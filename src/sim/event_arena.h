@@ -13,25 +13,36 @@
  *    heap for correctness.
  *  - EventKey / EventArena: structure-of-arrays event storage addressed
  *    by dense 32-bit indices and recycled through a free list. The
- *    32-byte key records — (time, sequence) plus the intrusive
- *    pairing-heap links — live in their own densely packed array, two
- *    per cache line, so the heap's compare-and-relink traffic runs at
- *    twice the cache density of an array-of-structs layout; the
- *    closure payloads sit in a parallel array and are only touched on
- *    push and fire. Generation counters give O(1) handle invalidation:
- *    freeing a slot bumps its generation, so stale handles can never
- *    touch a recycled event.
+ *    32-byte key records — (time, sequence) plus the intrusive links —
+ *    live in their own densely packed array, two per cache line, so
+ *    ordering work runs at twice the cache density of an array-of-
+ *    structs layout; the closure payloads sit in a parallel array and
+ *    are only touched on push and fire. Generation counters give O(1)
+ *    handle invalidation: freeing a slot bumps its generation, so stale
+ *    handles can never touch a recycled event.
  *
- * Cancellation is eager: removing an arbitrary node from the pairing
- * heap is O(log n) amortized, so a cancelled timeout leaves the queue
- * immediately instead of rotting until its deadline. Heap shape depends
- * only on the sequence of operations — never on addresses or wall time —
- * so a fixed seed reproduces a run exactly; and because (time, sequence)
- * is a strict total order, pop order is independent of heap shape
- * entirely.
+ * Ordering is two-tier. SOL agents are fixed-period loops, so most
+ * pending events are timers due within a few milliseconds. Those land
+ * in a calendar ring — 1024 buckets of 2^14 ns (~16.8 ms in all), each
+ * an intrusive list, found by find-first-set over an occupancy bitmap —
+ * where scheduling and cancelling are O(1) and a whole bucket is melded
+ * into the pairing heap only when it becomes the earliest. Everything
+ * else (the cursor's own bucket, and far-future timeouts and
+ * assessments) goes straight into the one pairing heap, which surfaces
+ * each event in (time, sequence) order. No event ever moves from the
+ * heap into the ring.
+ *
+ * Cancellation is eager: a ring entry unlinks in O(1), a heap node in
+ * O(log n) amortized, so a cancelled timeout leaves the queue
+ * immediately instead of rotting until its deadline. Structure depends
+ * only on the sequence of operations — never on addresses or wall
+ * time — and because (time, sequence) is a strict total order, pop
+ * order is independent of ring and heap shape entirely.
  */
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -47,6 +58,10 @@ namespace sol::sim::detail {
 
 /** Sentinel index: "no node". */
 inline constexpr std::uint32_t kNilEvent = 0xffffffffu;
+
+/** `EventKey::child` tag of an event parked in a calendar-ring bucket
+ *  (never a slot index: EventArena::Grow stops below it). */
+inline constexpr std::uint32_t kRingTag = 0xfffffffeu;
 
 /**
  * Move-only type-erased callable with inline small-buffer storage.
@@ -243,18 +258,20 @@ class alignas(32) InlineEvent
 };
 
 /**
- * One scheduled event's heap record: the (time, sequence) ordering key
- * plus intrusive pairing-heap links. Exactly 32 bytes (two records per
- * cache line), packed in their own array so comparisons and link
- * surgery never drag closure payload bytes through the cache.
+ * One scheduled event's record: the (time, sequence) ordering key plus
+ * intrusive links. Exactly 32 bytes (two records per cache line),
+ * packed in their own array so comparisons and link surgery never drag
+ * closure payload bytes through the cache.
  *
- * `prev` points at the left sibling, or at the parent when this node is
- * its first child (the node x with node(x.prev).child == x convention),
- * which makes arbitrary removal O(1) link surgery. While the slot sits
- * on the free list, `prev` doubles as the next-free link; `child` and
- * `sibling` are left stale there — Push reinitializes every field, and
- * stale handles are rejected by the generation check before any link
- * is read.
+ * In the pairing heap, `prev` points at the left sibling, or at the
+ * parent when this node is its first child (the node x with
+ * node(x.prev).child == x convention), which makes arbitrary removal
+ * O(1) link surgery. In a ring bucket, `child` holds kRingTag and
+ * `sibling`/`prev` form the bucket's doubly-linked list (`prev` is nil
+ * at the list head). While the slot sits on the free list, `prev`
+ * doubles as the next-free link; `child` and `sibling` are left stale
+ * there — Push reinitializes every field, and stale handles are
+ * rejected by the generation check before any link is read.
  */
 struct alignas(32) EventKey {
     TimePoint when{0};
@@ -272,13 +289,23 @@ static_assert(sizeof(void*) != 8 || sizeof(InlineEvent) == 32,
               "targets");
 
 /**
- * Block-allocated pairing heap of events in structure-of-arrays form.
+ * Block-allocated event storage in structure-of-arrays form, ordered by
+ * a calendar ring in front of a pairing heap.
  *
  * Events are addressed by dense uint32 indices into fixed-size blocks
  * (never reallocated, so references stay stable while the arena grows)
  * and recycled LIFO through a free list. Each block is a pair of
  * parallel arrays — EventKey records and InlineEvent payloads — so the
- * heap walk touches only the dense key array. The heap orders by
+ * ordering work touches only the dense key array.
+ *
+ * The ring covers the kRingBuckets - 1 buckets (of 2^kBucketShift ns)
+ * strictly after the cursor bucket; an event due in that window is
+ * parked in its bucket's list, every other event is melded into the
+ * heap. Invariant: every ring entry's bucket lies in (cursor, cursor +
+ * kRingBuckets - 1], so a bitmap slot names exactly one bucket. To pop,
+ * the earliest occupied bucket is melded into the heap when the heap
+ * root's bucket is not earlier (and the bucket can fire before the
+ * horizon); the heap root is then the global minimum. Pops order by
  * (when, seq): strict total order, so pop order is identical to the
  * seed binary heap's and same-instant events run in insertion order.
  *
@@ -314,19 +341,23 @@ class EventArena
         InlineEvent* fn = nullptr;
     };
 
-    EventArena() = default;
+    /**
+     * Calendar ring geometry, sized from the agents' traffic rather
+     * than exposed as options: 2^14 ns (~16 us) buckets put each 50 us
+     * periodic tick a few buckets ahead, and 1024 of them (~16.8 ms)
+     * cover the ~10 ms collect period; 200 ms timeouts and 1 s
+     * assessments stay in the heap. On fleet_steady, 2^12 ns buckets
+     * gave back about half the gain and 2^16 ns measured alike (see
+     * docs/PERFORMANCE.md).
+     */
+    static constexpr int kBucketShift = 14;
+    static constexpr std::uint32_t kRingBuckets = 1024;
+
+    EventArena() { ring_head_.fill(kNilEvent); }
     EventArena(const EventArena&) = delete;
     EventArena& operator=(const EventArena&) = delete;
 
     std::size_t pending() const { return live_; }
-    bool empty() const { return root_ == kNilEvent; }
-
-    /** Time of the earliest pending event; kTimeInfinity when empty. */
-    TimePoint
-    EarliestTime() const
-    {
-        return root_ == kNilEvent ? kTimeInfinity : key(root_).when;
-    }
 
     Stats
     stats() const
@@ -345,11 +376,18 @@ class EventArena
         EventKey& k = key(index);
         k.when = when;
         k.seq = seq;
-        k.child = kNilEvent;
-        k.sibling = kNilEvent;
         k.prev = kNilEvent;
         payload(index) = std::move(fn);
-        root_ = root_ == kNilEvent ? index : Meld(root_, index);
+        const std::int64_t bucket = BucketOf(when);
+        // (cursor, cursor + kRingBuckets - 1] in one unsigned compare.
+        if (static_cast<std::uint64_t>(bucket - cursor_ - 1) <
+            kRingBuckets - 1) {
+            RingInsert(index, bucket);
+        } else {
+            k.child = kNilEvent;
+            k.sibling = kNilEvent;
+            root_ = root_ == kNilEvent ? index : Meld(root_, index);
+        }
         ++live_;
         ++stats_.scheduled;
         if (live_ > stats_.peak_pending) {
@@ -367,6 +405,14 @@ class EventArena
     bool
     PopEarliest(TimePoint horizon, Popped* out)
     {
+        if (ring_words_ != 0) {
+            const std::int64_t next = NextRingBucket();
+            if ((root_ == kNilEvent || BucketOf(key(root_).when) >= next) &&
+                next <= BucketOf(horizon)) {
+                MeldRingBucket(next);
+                cursor_ = next;
+            }
+        }
         if (root_ == kNilEvent) {
             return false;
         }
@@ -375,13 +421,18 @@ class EventArena
         if (k.when > horizon) {
             return false;
         }
+        // Every ring entry lies after the root's bucket, so the cursor
+        // may advance to it. It never moves back: EventQueue schedules
+        // nothing before Now(), whose bucket the cursor never passes.
+        assert(BucketOf(k.when) >= cursor_);
+        cursor_ = BucketOf(k.when);
         out->when = k.when;
         out->seq = k.seq;
         out->index = index;
         out->key = &k;
         out->fn = &payload(index);
         root_ = MergePairs(k.child);
-        k.prev = kNilEvent;  // Detached: stale Cancels see "not in heap".
+        k.prev = kNilEvent;  // Detached: stale Cancels see "not queued".
         // The event leaves the pending count here, not when its slot is
         // recycled: a firing callback that re-arms itself must see the
         // same pending() the pre-SoA queue showed it, or a saturated
@@ -397,7 +448,7 @@ class EventArena
      * stable, so the closure may freely schedule new events (growing
      * the arena) while it runs; a Cancel() racing the firing event
      * through a stale handle is rejected because the slot is no longer
-     * root and has no parent link.
+     * root, has no parent link and carries no ring tag.
      */
     void
     InvokePopped(const Popped& popped)
@@ -421,9 +472,10 @@ class EventArena
     }
 
     /**
-     * Eagerly removes a pending event (cancellation). O(log n)
-     * amortized; a no-op returning false when the handle is stale (the
-     * event already fired, was cancelled, or the slot was recycled).
+     * Eagerly removes a pending event (cancellation). O(1) for a ring
+     * entry, O(log n) amortized for a heap node; a no-op returning
+     * false when the handle is stale (the event already fired, was
+     * cancelled, or the slot was recycled).
      */
     bool
     Remove(std::uint32_t index, std::uint32_t generation)
@@ -432,7 +484,9 @@ class EventArena
             return false;
         }
         EventKey& k = key(index);
-        if (index == root_) {
+        if (k.child == kRingTag) {
+            RingUnlink(index);
+        } else if (index == root_) {
             root_ = MergePairs(k.child);
         } else {
             Detach(index);
@@ -452,7 +506,7 @@ class EventArena
     {
         return index < blocks_.size() * kBlockSize &&
                key(index).generation == generation && live_ > 0 &&
-               InHeap(index);
+               Queued(index);
     }
 
     std::uint32_t
@@ -464,6 +518,10 @@ class EventArena
   private:
     static constexpr std::size_t kBlockShift = 7;
     static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
+
+    static constexpr std::uint32_t kRingMask = kRingBuckets - 1;
+    static constexpr std::uint32_t kRingWords = kRingBuckets / 64;
+    static_assert(kRingWords <= 32, "ring_words_ is a 32-bit summary");
 
     /** One block: parallel key/payload arrays of kBlockSize slots. */
     struct Block {
@@ -493,18 +551,120 @@ class EventArena
     /**
      * A generation match already implies the slot is allocated (Free
      * bumps the generation before the slot can be observed again), so
-     * this is a structural sanity check only: the root, or any node
-     * with a parent/sibling link, is in the heap.
+     * this is a structural sanity check only: a ring entry, the heap
+     * root, or any heap node with a parent/sibling link is queued. A
+     * popped event is none of these while its closure runs.
      */
     bool
-    InHeap(std::uint32_t index) const
+    Queued(std::uint32_t index) const
     {
-        return index == root_ || key(index).prev != kNilEvent;
+        const EventKey& k = key(index);
+        return k.child == kRingTag || index == root_ || k.prev != kNilEvent;
+    }
+
+    static std::int64_t
+    BucketOf(TimePoint when)
+    {
+        return when.count() >> kBucketShift;
+    }
+
+    /** Parks an event at the head of its bucket's list. */
+    void
+    RingInsert(std::uint32_t index, std::int64_t bucket)
+    {
+        const auto slot = static_cast<std::uint32_t>(bucket) & kRingMask;
+        EventKey& k = key(index);
+        const std::uint32_t head = ring_head_[slot];
+        k.child = kRingTag;
+        k.sibling = head;
+        if (head != kNilEvent) {
+            key(head).prev = index;
+        }
+        ring_head_[slot] = index;
+        ring_bits_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+        ring_words_ |= 1u << (slot >> 6);
+    }
+
+    /** Unlinks a ring entry from its bucket's list (cancellation). */
+    void
+    RingUnlink(std::uint32_t index)
+    {
+        EventKey& k = key(index);
+        const auto slot =
+            static_cast<std::uint32_t>(BucketOf(k.when)) & kRingMask;
+        if (k.prev == kNilEvent) {
+            ring_head_[slot] = k.sibling;
+            if (k.sibling == kNilEvent) {
+                ClearRingSlot(slot);
+            }
+        } else {
+            key(k.prev).sibling = k.sibling;
+        }
+        if (k.sibling != kNilEvent) {
+            key(k.sibling).prev = k.prev;
+        }
+    }
+
+    void
+    ClearRingSlot(std::uint32_t slot)
+    {
+        std::uint64_t& word = ring_bits_[slot >> 6];
+        word &= ~(std::uint64_t{1} << (slot & 63));
+        if (word == 0) {
+            ring_words_ &= ~(1u << (slot >> 6));
+        }
+    }
+
+    /**
+     * Earliest occupied bucket (requires a non-empty ring): the first
+     * set bitmap slot at or after the cursor's successor, wrapping.
+     */
+    std::int64_t
+    NextRingBucket() const
+    {
+        const auto start =
+            static_cast<std::uint32_t>(cursor_ + 1) & kRingMask;
+        const std::uint32_t w = start >> 6;
+        const std::uint64_t here = ring_bits_[w] & (~std::uint64_t{0}
+                                                    << (start & 63));
+        std::uint32_t slot;
+        if (here != 0) {
+            slot = (w << 6) | static_cast<std::uint32_t>(
+                                  std::countr_zero(here));
+        } else {
+            // A later word, else wrap to the lowest (possibly w's own
+            // bits below start, which are the ring's last buckets).
+            const std::uint32_t later = ring_words_ & ~((2u << w) - 1);
+            const auto word = static_cast<std::uint32_t>(
+                std::countr_zero(later != 0 ? later : ring_words_));
+            slot = (word << 6) | static_cast<std::uint32_t>(
+                                     std::countr_zero(ring_bits_[word]));
+        }
+        return cursor_ + 1 + ((slot - start) & kRingMask);
+    }
+
+    /** Moves every event of ring bucket `bucket` into the heap. */
+    void
+    MeldRingBucket(std::int64_t bucket)
+    {
+        const auto slot = static_cast<std::uint32_t>(bucket) & kRingMask;
+        std::uint32_t cur = ring_head_[slot];
+        ring_head_[slot] = kNilEvent;
+        ClearRingSlot(slot);
+        while (cur != kNilEvent) {
+            EventKey& k = key(cur);
+            const std::uint32_t next = k.sibling;
+            k.child = kNilEvent;
+            k.sibling = kNilEvent;
+            k.prev = kNilEvent;
+            root_ = root_ == kNilEvent ? cur : Meld(root_, cur);
+            cur = next;
+        }
     }
 
     /** Branch-free (when, seq) comparison: merge chains carry near-
      *  random keys, so a short-circuit compare mispredicts constantly
-     *  in the hottest loop (MergePairs ~75% of churn CPU). */
+     *  in the heap's hottest loop, MergePairs. */
     bool
     Less(std::uint32_t a, std::uint32_t b) const
     {
@@ -678,7 +838,8 @@ class EventArena
     Grow()
     {
         const std::size_t block = blocks_.size();
-        assert((block + 1) * kBlockSize < kNilEvent);
+        // Slot indices stay below both sentinels (kRingTag < kNilEvent).
+        assert((block + 1) * kBlockSize <= kRingTag);
         blocks_.push_back(Block{
             std::make_unique<EventKey[]>(kBlockSize),
             std::make_unique<InlineEvent[]>(kBlockSize)});
@@ -696,6 +857,13 @@ class EventArena
     std::uint32_t root_ = kNilEvent;
     std::size_t live_ = 0;
     Stats stats_;
+    /** Absolute bucket (time >> kBucketShift) the ring window follows. */
+    std::int64_t cursor_ = 0;
+    /** Bit w set iff ring_bits_[w] != 0. */
+    std::uint32_t ring_words_ = 0;
+    std::array<std::uint64_t, kRingWords> ring_bits_{};
+    /** Bucket list heads, kNilEvent when empty (set by the ctor). */
+    std::array<std::uint32_t, kRingBuckets> ring_head_;
 };
 
 }  // namespace sol::sim::detail

@@ -8,15 +8,21 @@
  * instant execute in insertion order, so a fixed seed reproduces a run
  * exactly.
  *
- * Internals (see sim/event_arena.h): events live in an arena-allocated
- * pairing heap addressed by 32-bit indices, keys and closure payloads
- * in separate parallel arrays. The steady schedule/fire path performs
- * no heap allocation (closures up to 24 bytes are stored inline in the
- * recycled slot and fired in place), cancellation eagerly unlinks the
- * event in O(log n) amortized with O(1) generation-token invalidation
- * of stale handles, and pop order is the same strict (time, sequence)
- * total order the seed binary-heap implementation used — same seeds
- * produce byte-identical traces, which trace_hash() fingerprints.
+ * Internals (see sim/event_arena.h): events live in an arena addressed
+ * by 32-bit indices, keys and closure payloads in separate parallel
+ * arrays. Ordering is two-tier: timers due within the next ~16.8 ms
+ * (the agents' periodic collects and ticks) are parked in a calendar
+ * ring of 2^14 ns buckets, scheduled and cancelled in O(1), and a
+ * bucket is melded into a pairing heap only once it holds the earliest
+ * events; everything further out (timeouts, assessments) goes straight
+ * into the heap. The steady schedule/fire path performs no heap
+ * allocation (closures up to 24 bytes are stored inline in the recycled
+ * slot and fired in place), cancellation eagerly unlinks the event —
+ * O(1) in the ring, O(log n) amortized in the heap — with O(1)
+ * generation-token invalidation of stale handles, and pop order is the
+ * same strict (time, sequence) total order the seed binary-heap
+ * implementation used — same seeds produce byte-identical traces, which
+ * trace_hash() fingerprints.
  */
 #pragma once
 

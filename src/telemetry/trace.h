@@ -166,7 +166,7 @@ class TraceRecorder
     std::uint64_t
     recorded() const
     {
-        return recorded_.load(std::memory_order_relaxed);
+        return head_.load(std::memory_order_relaxed);
     }
 
     /** Events rejected because the ring was full (relaxed;
@@ -197,17 +197,32 @@ class TraceRecorder
   private:
     friend class TraceSpan;
 
+    /** True, counting a drop, when the ring has no free slot. */
+    bool
+    DropIfFull()
+    {
+        const std::uint64_t head = head_.load(std::memory_order_relaxed);
+        const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+        if (head - tail < slots_.size()) {
+            return false;
+        }
+        // Producer-owned like head_: a plain load/store pair is exact and
+        // skips the locked read-modify-write on the drop path.
+        dropped_.store(dropped_.load(std::memory_order_relaxed) + 1,
+                       std::memory_order_relaxed);
+        return true;
+    }
+
     /** Claims the next slot, or null (and counts a drop) if full. */
     TraceEvent*
     Claim()
     {
-        const std::uint64_t head = head_.load(std::memory_order_relaxed);
-        const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-        if (head - tail >= slots_.size()) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+        if (DropIfFull()) {
             return nullptr;
         }
-        return &slots_[static_cast<std::size_t>(head) & mask_];
+        return &slots_[static_cast<std::size_t>(
+                           head_.load(std::memory_order_relaxed)) &
+                       mask_];
     }
 
     /** Publishes the slot claimed by the last Claim(). */
@@ -216,7 +231,6 @@ class TraceRecorder
     {
         const std::uint64_t head = head_.load(std::memory_order_relaxed);
         head_.store(head + 1, std::memory_order_release);
-        recorded_.fetch_add(1, std::memory_order_relaxed);
     }
 
     static void FillArgs(TraceEvent& event,
@@ -228,17 +242,22 @@ class TraceRecorder
     const sim::Clock* clock_;
     std::vector<TraceEvent> slots_;
     std::size_t mask_;
-    std::atomic<std::uint64_t> head_{0};  ///< Next write; producer-owned.
+    /** Next write, and so the count of events ever recorded;
+     *  producer-owned. */
+    std::atomic<std::uint64_t> head_{0};
     std::atomic<std::uint64_t> tail_{0};  ///< Next read; consumer-owned.
-    std::atomic<std::uint64_t> recorded_{0};
-    std::atomic<std::uint64_t> dropped_{0};
+    std::atomic<std::uint64_t> dropped_{0};  ///< Producer-owned.
 };
 
 /**
  * RAII span: records one kComplete event covering its own lifetime.
  *
  * With a null recorder every method is a no-op and no clock is read —
- * this is the "near-zero cost when disabled" path, a single branch.
+ * this is the "near-zero cost when disabled" path, a single branch. A
+ * span that opens on a full ring is dropped right there (the drop is
+ * counted then) and costs no more than a disabled one from that point.
+ * Only the producer fills the ring, so a ring full at open is still
+ * full at close unless a concurrent consumer drains it in between.
  * Name/category/arg keys must be string literals.
  */
 class TraceSpan
@@ -249,7 +268,11 @@ class TraceSpan
         : recorder_(recorder), name_(name), category_(category)
     {
         if (recorder_ != nullptr) {
-            begin_ = recorder_->Now();
+            if (recorder_->DropIfFull()) {
+                recorder_ = nullptr;
+            } else {
+                begin_ = recorder_->Now();
+            }
         }
     }
 
@@ -390,11 +413,11 @@ inline TraceSpan::~TraceSpan()
     if (recorder_ == nullptr) {
         return;
     }
-    const sim::TimePoint end = recorder_->Now();
     TraceEvent* slot = recorder_->Claim();
     if (slot == nullptr) {
-        return;  // Claim counted the drop.
+        return;  // Claim counted the drop; a full ring reads no clock.
     }
+    const sim::TimePoint end = recorder_->Now();
     slot->kind = TraceEvent::Kind::kComplete;
     slot->name = name_;
     slot->category = category_;

@@ -330,6 +330,35 @@ class ReferenceQueue
     std::vector<int> executed_order_;
 };
 
+/**
+ * A seeded offset from one of the bands that reach every tier of the
+ * queue: the same instant, within one ring bucket, a few buckets, across
+ * the ring's far end (where events switch from ring to heap), and up to
+ * a second (deep in the heap).
+ */
+std::int64_t
+DrawOffset(sim::Rng& rng)
+{
+    constexpr std::int64_t kBucket = std::int64_t{1}
+                                     << sim::detail::EventArena::kBucketShift;
+    constexpr std::int64_t kRingEnd =
+        sim::detail::EventArena::kRingBuckets * kBucket;
+    const std::uint64_t band = rng.NextBelow(100);
+    if (band < 20) {
+        return 0;
+    }
+    if (band < 55) {
+        return rng.NextInRange(0, 5000);
+    }
+    if (band < 80) {
+        return rng.NextInRange(0, 4 * kBucket);
+    }
+    if (band < 92) {
+        return rng.NextInRange(kRingEnd - kBucket, kRingEnd + kBucket);
+    }
+    return rng.NextInRange(0, 1'000'000'000);
+}
+
 /** Runs the seeded op stream against both queues, checking lockstep
  *  (void so ASSERT_* can bail; results land in the out-params). */
 void
@@ -349,9 +378,7 @@ RunDifferential(std::uint64_t seed, int num_ops,
         if (choice < 55) {
             // Schedule at a random offset; 1-in-5 at the current
             // instant (same-instant FIFO is the subtle invariant).
-            const std::int64_t offset =
-                rng.NextBool(0.2) ? 0 : rng.NextInRange(0, 5000);
-            const std::int64_t when = queue.Now().count() + offset;
+            const std::int64_t when = queue.Now().count() + DrawOffset(rng);
             const int id = next_id++;
             sim::EventHandle handle = queue.ScheduleAt(
                 sim::TimePoint(sim::Nanos(when)),
@@ -376,7 +403,7 @@ RunDifferential(std::uint64_t seed, int num_ops,
             ASSERT_EQ(stepped, ref_stepped) << "Step at op " << op;
         } else {
             const std::int64_t horizon =
-                queue.Now().count() + rng.NextInRange(0, 3000);
+                queue.Now().count() + DrawOffset(rng);
             queue.RunUntil(sim::TimePoint(sim::Nanos(horizon)));
             reference.RunUntil(horizon);
         }
@@ -435,7 +462,8 @@ TEST_P(EventQueueDifferentialTest, MatchesSortedVectorReference)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferentialTest,
-                         ::testing::Values(1u, 42u, 0xdeadbeefu));
+                         ::testing::Values(1u, 42u, 0xdeadbeefu, 7u, 2024u,
+                                           0x5eed5eedu));
 
 }  // namespace
 }  // namespace sol::core

@@ -388,6 +388,132 @@ TEST(EventQueueTest, SameInstantFifoSurvivesInterleavedCancellation)
     EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 6, 8}));
 }
 
+// The queue's two tiers: a calendar ring for the buckets just after the
+// cursor's, and a pairing heap for everything else. These tests place
+// events in each tier on purpose; the order they check holds for any
+// ring geometry.
+constexpr std::int64_t kBucketNs = std::int64_t{1}
+                                   << detail::EventArena::kBucketShift;
+constexpr std::int64_t kRingBuckets = detail::EventArena::kRingBuckets;
+
+TimePoint
+Bucket(std::int64_t bucket, std::int64_t offset_ns = 0)
+{
+    return Nanos(bucket * kBucketNs + offset_ns);
+}
+
+TEST(EventQueueTest, CancelReachesEveryTier)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    const auto at = [&](TimePoint when, int id) {
+        return queue.ScheduleAt(when, [&order, id] { order.push_back(id); });
+    };
+    // Heap, near: the cursor's own bucket.
+    EventHandle near_a = at(Bucket(0, 100), 0);
+    EventHandle near_b = at(Bucket(0, 200), 1);
+    // Ring: three in one bucket (the list head is the last pushed) and
+    // one alone in another.
+    EventHandle ring_a = at(Bucket(5, 1), 2);
+    EventHandle ring_b = at(Bucket(5, 2), 3);
+    EventHandle ring_c = at(Bucket(5, 3), 4);
+    EventHandle ring_alone = at(Bucket(7), 5);
+    // Heap, far: past the ring's window.
+    EventHandle far_a = at(Bucket(kRingBuckets + 10), 6);
+    EventHandle far_b = at(Bucket(kRingBuckets + 10, 1), 7);
+    EXPECT_EQ(queue.pending(), 8u);
+
+    near_a.Cancel();
+    ring_b.Cancel();      // Mid-list.
+    ring_c.Cancel();      // List head, with a successor.
+    ring_alone.Cancel();  // Last entry of its bucket.
+    far_b.Cancel();
+    for (EventHandle* h : {&near_a, &ring_b, &ring_c, &ring_alone, &far_b}) {
+        EXPECT_TRUE(h->cancelled());
+        EXPECT_FALSE(h->pending());
+    }
+    for (EventHandle* h : {&near_b, &ring_a, &far_a}) {
+        EXPECT_TRUE(h->pending());
+    }
+    EXPECT_EQ(queue.pending(), 3u);
+    EXPECT_EQ(queue.stats().cancelled, 5u);
+
+    queue.RunUntil(Bucket(2 * kRingBuckets));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 6}));
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
+TEST(EventQueueTest, SameInstantFifoAcrossBucketBoundary)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    const auto at = [&](TimePoint when, int id) {
+        queue.ScheduleAt(when, [&order, id] { order.push_back(id); });
+    };
+    // Both sides of a bucket boundary, beyond the ring's window: heap.
+    const TimePoint boundary = Bucket(kRingBuckets + 100);
+    at(boundary - Nanos(1), 0);
+    at(boundary, 1);
+    // Once the cursor has moved up, the same instants fall inside the
+    // window: the later schedules land in the ring.
+    queue.ScheduleAt(Bucket(200), [&] {
+        at(boundary, 2);
+        at(boundary - Nanos(1), 3);
+        at(boundary, 4);
+    });
+    queue.RunUntilIdle();
+    // Time first, then insertion order — whichever tier held the event.
+    EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2, 4}));
+}
+
+TEST(EventQueueTest, HorizonBetweenOccupiedBucketsThenEarlierSchedule)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    const auto at = [&](TimePoint when, int id) {
+        queue.ScheduleAt(when, [&order, id] { order.push_back(id); });
+    };
+    at(Bucket(10, 5), 0);
+    at(Bucket(20, 5), 1);
+    const TimePoint horizon = Bucket(15, 7);
+    queue.RunUntil(horizon);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(queue.Now(), horizon);
+    // Schedules between the horizon and the later occupied bucket must
+    // still fire before it.
+    at(Bucket(17), 2);
+    at(horizon, 3);
+    at(Bucket(20), 4);
+    queue.RunUntilIdle();
+    EXPECT_EQ(order, (std::vector<int>{0, 3, 2, 4, 1}));
+}
+
+TEST(EventQueueTest, TimesNearInfinityKeepOrder)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    const auto at = [&](TimePoint when, int id) {
+        queue.ScheduleAt(when, [&order, id] { order.push_back(id); });
+    };
+    at(kTimeInfinity, 0);
+    at(kTimeInfinity - Nanos(1), 1);
+    at(kTimeInfinity - Nanos(20 * kBucketNs), 2);
+    at(Millis(1), 3);
+    ASSERT_TRUE(queue.Step());
+    ASSERT_TRUE(queue.Step());
+    EXPECT_EQ(order, (std::vector<int>{3, 2}));
+    EXPECT_EQ(queue.Now(), kTimeInfinity - Nanos(20 * kBucketNs));
+    // The cursor now sits a few buckets short of the end of time, so
+    // these go into the ring, around the heap's last two events.
+    at(kTimeInfinity - Nanos(5 * kBucketNs), 4);
+    at(kTimeInfinity, 5);
+    at(kTimeInfinity - Nanos(1), 6);
+    queue.RunUntil(kTimeInfinity);
+    EXPECT_EQ(order, (std::vector<int>{3, 2, 4, 1, 6, 0, 5}));
+    EXPECT_EQ(queue.Now(), kTimeInfinity);
+    EXPECT_EQ(queue.pending(), 0u);
+}
+
 TEST(EventQueueTest, PendingLimitDropsLoudly)
 {
     EventQueue queue;
