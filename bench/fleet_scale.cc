@@ -21,7 +21,8 @@
  *     fleet window track, all virtual-timestamped) must serialize
  *     byte-identical Chrome JSON across repeated runs AND across
  *     thread counts, must not perturb the simulation (same events,
- *     same fleet hash), and (in --smoke) must cost <= 5% throughput.
+ *     same fleet hash), and (in --smoke) must cost <= 5% CPU time, by
+ *     the shared overhead protocol (overhead_gate.h).
  *     The widest traced run is written to TRACE_fleet_scale.json
  *     (Perfetto-loadable).
  *
@@ -31,7 +32,6 @@
  * case. Results land in BENCH_fleet_scale.json: the per-thread-count
  * scaling curve plus the determinism, trace, and overhead verdicts.
  */
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -44,6 +44,11 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
+#include "overhead_gate.h"
+
+using sol::bench::MeasureOverhead;
+using sol::bench::OverheadProbe;
+using sol::bench::ProcessCpuSeconds;
 using sol::cluster::FleetStats;
 using sol::fleet::FleetConfig;
 using sol::fleet::ShardedFleetRunner;
@@ -54,21 +59,6 @@ using sol::telemetry::trace::ChromeTraceWriter;
 using sol::telemetry::trace::TraceSession;
 
 namespace {
-
-// Sanitizers multiply the cost of the recorder's atomics far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (every determinism verdict still gates).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
 
 struct BenchConfig {
     std::size_t num_nodes = 64;
@@ -87,6 +77,7 @@ struct RunResult {
     std::size_t threads = 0;
     std::uint64_t events = 0;
     double wall_seconds = 0.0;
+    double cpu_seconds = 0.0;  ///< Process CPU over the window loop.
     double events_per_sec = 0.0;
     double sim_seconds = 0.0;
     std::uint64_t trace_hash = 0;
@@ -118,6 +109,7 @@ RunFleet(const BenchConfig& bench, std::size_t threads, bool traced)
     ShardedFleetRunner runner(config);
 
     const auto start = std::chrono::steady_clock::now();
+    const double cpu_start = ProcessCpuSeconds();
     while (runner.total_executed() < bench.min_events) {
         const std::uint64_t before = runner.total_executed();
         runner.Run(bench.window);
@@ -125,6 +117,7 @@ RunFleet(const BenchConfig& bench, std::size_t threads, bool traced)
             break;  // Stalled fleet; the caller fails the shortfall.
         }
     }
+    const double cpu_end = ProcessCpuSeconds();
     const auto end = std::chrono::steady_clock::now();
     runner.Stop();
 
@@ -133,6 +126,7 @@ RunFleet(const BenchConfig& bench, std::size_t threads, bool traced)
     result.events = runner.total_executed();
     result.wall_seconds =
         std::chrono::duration<double>(end - start).count();
+    result.cpu_seconds = cpu_end - cpu_start;
     result.events_per_sec =
         static_cast<double>(result.events) / result.wall_seconds;
     result.sim_seconds = sol::sim::ToSeconds(runner.Now());
@@ -213,14 +207,10 @@ main(int argc, char** argv)
     const RunResult& base = runs.front();
 
     // --- Flight-recorder legs. Two traced runs at the base thread
-    // count (byte-determinism), one at the widest (thread-count
-    // invariance of the trace itself), and one extra untraced run at
-    // the base count so the overhead probe starts best-of-2 per side
-    // (it resamples below if the first estimate misses the budget).
+    // count (byte-determinism) and one at the widest (thread-count
+    // invariance of the trace itself).
     const std::size_t base_threads = bench.thread_counts.front();
     const std::size_t widest_threads = bench.thread_counts.back();
-    RunResult untraced_again =
-        RunFleet(bench, base_threads, /*traced=*/false);
     RunResult traced_a = RunFleet(bench, base_threads, /*traced=*/true);
     RunResult traced_b = RunFleet(bench, base_threads, /*traced=*/true);
     RunResult traced_wide =
@@ -306,46 +296,41 @@ main(int argc, char** argv)
                   << traced_a.events << " vs " << base.events << ")\n";
     }
 
-    double untraced_eps =
-        std::max(base.events_per_sec, untraced_again.events_per_sec);
-    double traced_eps =
-        std::max(traced_a.events_per_sec, traced_b.events_per_sec);
-    double overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    // Sub-second legs mean one noisy scheduling quantum can fake
-    // several percent of "overhead". Before failing, keep sampling
-    // interleaved untraced/traced rounds (best-of-N per side) until
-    // the budget is met or rounds run out.
-    const bool overhead_gated = bench.smoke && !kSanitizedBuild;
-    for (int round = 0; overhead_gated && overhead > 0.05 && round < 3;
-         ++round) {
-        const RunResult u =
-            RunFleet(bench, base_threads, /*traced=*/false);
-        const RunResult t =
-            RunFleet(bench, base_threads, /*traced=*/true);
-        untraced_eps = std::max(untraced_eps, u.events_per_sec);
-        traced_eps = std::max(traced_eps, t.events_per_sec);
-        overhead = std::max(0.0, 1.0 - traced_eps / untraced_eps);
-    }
-    const bool overhead_ok = !overhead_gated || overhead <= 0.05;
-    if (!overhead_ok) {
-        std::cerr << "FAIL: tracer overhead " << overhead * 100.0
-                  << "% exceeds the 5% budget\n";
-    }
+    // Tracer cost: interleaved untraced/traced pairs at the base thread
+    // count, by the shared overhead protocol (overhead_gate.h).
+    const OverheadProbe overhead = MeasureOverhead(
+        bench.smoke,
+        [&](std::size_t) {
+            return RunFleet(bench, base_threads, /*traced=*/false)
+                .cpu_seconds;
+        },
+        [&](std::size_t) {
+            return RunFleet(bench, base_threads, /*traced=*/true)
+                .cpu_seconds;
+        });
+    const bool overhead_ok = overhead.Check("tracer");
 
     std::cout << "\n";
-    TableWriter tracer({"leg", "threads", "events", "events/sec",
-                        "recorded", "dropped"});
+    TableWriter tracer({"leg", "threads", "events", "median cpu ms",
+                        "events/cpu-sec", "recorded", "dropped"});
     tracer.AddRow({"untraced", std::to_string(base_threads),
                    std::to_string(base.events),
-                   TableWriter::Num(untraced_eps, 0), "0", "0"});
+                   TableWriter::Num(overhead.off_cpu_s * 1e3, 1),
+                   TableWriter::Num(static_cast<double>(base.events) /
+                                        overhead.off_cpu_s,
+                                    0),
+                   "0", "0"});
     tracer.AddRow({"traced", std::to_string(base_threads),
                    std::to_string(traced_a.events),
-                   TableWriter::Num(traced_eps, 0),
+                   TableWriter::Num(overhead.on_cpu_s * 1e3, 1),
+                   TableWriter::Num(static_cast<double>(traced_a.events) /
+                                        overhead.on_cpu_s,
+                                    0),
                    std::to_string(traced_a.trace_recorded),
                    std::to_string(traced_a.trace_dropped)});
-    tracer.AddRow({"overhead", "-", "-",
-                   TableWriter::Num(overhead * 100.0, 2) + "%", "-",
-                   "-"});
+    tracer.AddRow({"overhead", "-", "-", "-",
+                   TableWriter::Num(overhead.overhead * 100.0, 2) + "%",
+                   "-", "-"});
     tracer.Print(std::cout);
     json.AddTable("tracer_overhead", tracer);
 
@@ -374,11 +359,7 @@ main(int argc, char** argv)
          trace_repeatable && trace_thread_invariant ? "identical"
                                                     : "DIVERGED",
          trace_nonperturbing ? "unperturbed" : "PERTURBED",
-         TableWriter::Num(overhead * 100.0, 2) + "%" +
-             (!bench.smoke          ? " (report only)"
-              : kSanitizedBuild     ? " (report only: sanitized)"
-              : overhead_ok         ? " (PASS)"
-                                    : " (FAIL)"),
+         overhead.Verdict(),
          TableWriter::Num(speedup, 2),
          TableWriter::Num(bench.required_speedup, 1),
          scaling_measurable ? "yes" : "no (too few cores)"});

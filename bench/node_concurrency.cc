@@ -41,9 +41,6 @@
  * Results land in BENCH_node_concurrency.json; the trace in
  * TRACE_node_concurrency.json.
  */
-#include <time.h>
-
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -57,6 +54,11 @@
 #include "telemetry/metric_registry.h"
 #include "telemetry/trace.h"
 
+#include "overhead_gate.h"
+
+using sol::bench::MeasureOverhead;
+using sol::bench::OverheadProbe;
+using sol::bench::ProcessCpuSeconds;
 using sol::cluster::MultiAgentNode;
 using sol::cluster::MultiAgentNodeConfig;
 using sol::cluster::ThreadedMultiAgentNode;
@@ -68,39 +70,6 @@ using sol::telemetry::trace::ChromeTraceWriter;
 using sol::telemetry::trace::TraceSession;
 
 namespace {
-
-// Sanitizers multiply the cost of the recorder's atomics far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (the determinism verdicts still gate).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-
-// Interleaved untraced/traced pairs behind the gated tracer overhead
-// verdict (odd, so the median is one pair's value) and its budget. A
-// smoke leg is a few milliseconds of CPU, so one pair swings by several
-// percent either way; the median of 21 is stable to about a percent.
-constexpr std::size_t kOverheadPairs = 21;
-constexpr double kOverheadBudget = 0.05;
-
-/** CPU time consumed so far by every thread of this process. Unlike
- *  wall time it does not grow while the process is descheduled. */
-double
-ProcessCpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 struct BenchConfig {
     std::size_t synthetic_agents = 73;  ///< 73 + 4 real = 77 (paper).
@@ -345,44 +314,30 @@ main(int argc, char** argv)
     bool ok = true;
 
     // --- Simulated leg: interleaved untraced/traced pairs over the same
-    // fixed virtual horizon. A leg is milliseconds long, so wall time
-    // would charge any descheduling to whichever side it hit; each leg
-    // is timed in process CPU time instead, and the overhead is the
-    // median pair's ratio — one noisy pair can neither pass nor fail
-    // the gate. Gates only in smoke mode on unsanitized builds;
-    // elsewhere one pair is reported.
-    const bool overhead_gated = bench.smoke && !kSanitizedBuild;
-    const std::size_t pairs = overhead_gated ? kOverheadPairs : 1;
+    // fixed virtual horizon, judged by the shared overhead protocol
+    // (overhead_gate.h). The first pair's legs are the reported ones.
     TraceSession sim_session_a;
     LegResult sim_untraced;
     LegResult sim_traced;
-    std::vector<double> pair_overheads;
-    std::vector<double> untraced_cpu;
-    std::vector<double> traced_cpu;
-    for (std::size_t pair = 0; pair < pairs; ++pair) {
-        TraceSession scratch;
-        const LegResult u = RunSimOnce(bench, nullptr, ok, pair == 0);
-        const LegResult t = RunSimOnce(
-            bench, pair == 0 ? &sim_session_a : &scratch, ok, false);
-        pair_overheads.push_back(t.cpu_seconds / u.cpu_seconds - 1.0);
-        untraced_cpu.push_back(u.cpu_seconds);
-        traced_cpu.push_back(t.cpu_seconds);
-        if (pair == 0) {
-            sim_untraced = u;
-            sim_traced = t;
-        }
-    }
-    const auto median = [](std::vector<double> values) {
-        std::sort(values.begin(), values.end());
-        return values[values.size() / 2];
-    };
-    const double overhead = std::max(0.0, median(pair_overheads));
-    const double untraced_cpu_s = median(untraced_cpu);
-    const double traced_cpu_s = median(traced_cpu);
-    if (overhead_gated && overhead > kOverheadBudget) {
-        std::cerr << "FAIL: tracer overhead " << overhead * 100.0
-                  << "% exceeds the 5% budget (median of " << pairs
-                  << " CPU-time pairs)\n";
+    const OverheadProbe overhead = MeasureOverhead(
+        bench.smoke,
+        [&](std::size_t pair) {
+            const LegResult u = RunSimOnce(bench, nullptr, ok, pair == 0);
+            if (pair == 0) {
+                sim_untraced = u;
+            }
+            return u.cpu_seconds;
+        },
+        [&](std::size_t pair) {
+            TraceSession scratch;
+            const LegResult t = RunSimOnce(
+                bench, pair == 0 ? &sim_session_a : &scratch, ok, false);
+            if (pair == 0) {
+                sim_traced = t;
+            }
+            return t.cpu_seconds;
+        });
+    if (!overhead.Check("tracer")) {
         ok = false;
     }
     TraceSession sim_session_b;
@@ -482,20 +437,22 @@ main(int argc, char** argv)
                         "events/cpu-sec", "recorded", "dropped"});
     tracer.AddRow(
         {"untraced", std::to_string(sim_untraced.events),
-         TableWriter::Num(untraced_cpu_s * 1e3, 3),
-         TableWriter::Num(
-             static_cast<double>(sim_untraced.events) / untraced_cpu_s, 0),
+         TableWriter::Num(overhead.off_cpu_s * 1e3, 3),
+         TableWriter::Num(static_cast<double>(sim_untraced.events) /
+                              overhead.off_cpu_s,
+                          0),
          "0", "0"});
     tracer.AddRow(
         {"traced", std::to_string(sim_traced.events),
-         TableWriter::Num(traced_cpu_s * 1e3, 3),
-         TableWriter::Num(
-             static_cast<double>(sim_traced.events) / traced_cpu_s, 0),
+         TableWriter::Num(overhead.on_cpu_s * 1e3, 3),
+         TableWriter::Num(static_cast<double>(sim_traced.events) /
+                              overhead.on_cpu_s,
+                          0),
          std::to_string(sim_session_a.total_recorded()),
          std::to_string(sim_session_a.total_dropped())});
     tracer.AddRow({"overhead", "-", "-",
-                   TableWriter::Num(overhead * 100.0, 2) + "%", "-",
-                   "-"});
+                   TableWriter::Num(overhead.overhead * 100.0, 2) + "%",
+                   "-", "-"});
     tracer.Print(std::cout);
     json.AddTable("tracer_overhead", tracer);
 
@@ -507,12 +464,7 @@ main(int argc, char** argv)
                     ok ? "PASS" : "FAIL"});
     verdict.AddRow({"trace determinism",
                     trace_deterministic ? "PASS" : "FAIL"});
-    verdict.AddRow({"tracer overhead",
-                    TableWriter::Num(overhead * 100.0, 2) + "%" +
-                        (!bench.smoke      ? " (report only)"
-                         : kSanitizedBuild ? " (report only: sanitized)"
-                         : overhead <= kOverheadBudget ? " (PASS)"
-                                            : " (FAIL)")});
+    verdict.AddRow({"tracer overhead", overhead.Verdict()});
     std::cout << "\n";
     verdict.Print(std::cout);
     json.AddTable("verdict", verdict);

@@ -45,6 +45,10 @@
 #include "telemetry/metric_registry.h"
 #include "workloads/scenarios.h"
 
+#include "overhead_gate.h"
+
+using sol::bench::MeasureOverhead;
+using sol::bench::OverheadProbe;
 using sol::telemetry::BenchJson;
 using sol::telemetry::TableWriter;
 using sol::workloads::RunScenario;
@@ -58,28 +62,6 @@ using sol::workloads::ScenarioResult;
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-
-// Interleaved off/on pairs behind the gated health overhead verdict
-// (odd, so the median is one pair's value) and the budget it must meet.
-// A single pair swings by +-5% on a shared 4-core host; the median of
-// 15 settles within about +-1%.
-constexpr std::size_t kOverheadPairs = 15;
-constexpr double kOverheadBudget = 0.05;
-
-// Sanitizers multiply the cost of the sampler's bookkeeping far beyond
-// production reality, so the overhead budget is report-only in
-// sanitized builds (every determinism and alert verdict still gates).
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitizedBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitizedBuild = true;
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
-#else
-constexpr bool kSanitizedBuild = false;
-#endif
 
 std::string
 Hex(std::uint64_t value)
@@ -298,13 +280,8 @@ main(int argc, char** argv)
               << "bench/baselines/ and fail CI on drift.\n";
 
     // --- Observe-only overhead probe: steady_state with the sampler
-    // and alert engine off vs on. Each leg is tens of milliseconds, so
-    // wall time would charge any descheduling to whichever side it hit;
-    // the legs are measured in process CPU time over the Run span
-    // instead, run as interleaved off/on pairs, and judged on the
-    // median pair — one noisy pair can neither pass nor fail the gate.
-    // Gates only in smoke mode on unsanitized builds; elsewhere one
-    // pair is reported.
+    // and alert engine off vs on, judged by the shared overhead protocol
+    // (overhead_gate.h) over the scenario's Run span.
     if (only.empty() || only == "steady_state") {
         const Scenario* steady =
             sol::workloads::FindScenario("steady_state");
@@ -313,28 +290,14 @@ main(int argc, char** argv)
         off.health = false;
         ScenarioOptions on;
         on.smoke = smoke;
-        const bool overhead_gated = smoke && !kSanitizedBuild;
-        const std::size_t pairs = overhead_gated ? kOverheadPairs : 1;
-        std::vector<double> pair_overheads;
-        for (std::size_t pair = 0; pair < pairs; ++pair) {
-            const double off_cpu = RunScenario(*steady, off).cpu_seconds;
-            const double on_cpu = RunScenario(*steady, on).cpu_seconds;
-            pair_overheads.push_back(on_cpu / off_cpu - 1.0);
-        }
-        std::sort(pair_overheads.begin(), pair_overheads.end());
-        const double overhead = std::max(0.0, pair_overheads[pairs / 2]);
+        const OverheadProbe overhead = MeasureOverhead(
+            smoke,
+            [&](std::size_t) { return RunScenario(*steady, off).cpu_seconds; },
+            [&](std::size_t) { return RunScenario(*steady, on).cpu_seconds; });
         std::cout << "\nhealth sampling overhead (steady_state, on vs "
-                  << "off, median of " << pairs << " CPU-time pairs): "
-                  << TableWriter::Num(overhead * 100.0, 2) << "%"
-                  << (!smoke            ? " (report only)"
-                      : kSanitizedBuild ? " (report only: sanitized)"
-                      : overhead <= kOverheadBudget ? " (PASS)"
-                                                    : " (FAIL)")
-                  << "\n";
-        if (overhead_gated && overhead > kOverheadBudget) {
-            std::cerr << "FAIL: health sampling overhead "
-                      << TableWriter::Num(overhead * 100.0, 2)
-                      << "% exceeds the 5% budget\n";
+                  << "off, median of " << overhead.pairs
+                  << " CPU-time pairs): " << overhead.Verdict() << "\n";
+        if (!overhead.Check("health sampling")) {
             return 1;
         }
     }

@@ -38,20 +38,9 @@ MultiAgentNode::Start()
     started_ = true;
 
     const sim::Duration node_tick = config_.node_tick;
-    next_health_sample_ = queue_.Now() + config_.health_period;
     node_driver_ = std::make_unique<sim::PeriodicTask>(
         queue_, node_tick, [this, node_tick] {
             substrate_.node.Advance(queue_.Now(), node_tick);
-            // Health sampling piggybacks on the driver tick that is
-            // already scheduled: observe-only, so the event trace is
-            // byte-identical with sampling on or off.
-            if (config_.health != nullptr &&
-                queue_.Now() >= next_health_sample_) {
-                SampleHealth(queue_.Now());
-                do {
-                    next_health_sample_ += config_.health_period;
-                } while (next_health_sample_ <= queue_.Now());
-            }
         });
     const sim::Duration memory_tick = config_.memory_tick;
     memory_driver_ = std::make_unique<sim::PeriodicTask>(

@@ -86,7 +86,6 @@ class MultiAgentNode : public NodeAssembly
     sim::EventQueue& queue_;
 
     // Substrate drivers (armed by Start()).
-    sim::TimePoint next_health_sample_{0};
     std::unique_ptr<sim::PeriodicTask> node_driver_;
     std::unique_ptr<sim::PeriodicTask> memory_driver_;
     std::unique_ptr<sim::PeriodicTask> channel_driver_;

@@ -1,6 +1,5 @@
 #include "cluster/node_assembly.h"
 
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -28,17 +27,6 @@ MakeNodeConfig(const MultiAgentNodeConfig& config)
     node::NodeConfig node_config;
     node_config.total_cores = config.total_cores;
     return node_config;
-}
-
-MultiAgentNodeConfig
-Validated(MultiAgentNodeConfig config)
-{
-    if (config.health != nullptr &&
-        config.health_period <= sim::Duration::zero()) {
-        throw std::invalid_argument(
-            "MultiAgentNodeConfig::health_period must be positive");
-    }
-    return config;
 }
 
 /** Snapshots one agent's runtime counters into its metric namespace. */
@@ -148,7 +136,7 @@ DeriveSyntheticConfig(const MultiAgentNodeConfig& config, std::size_t i)
 }
 
 NodeAssembly::NodeAssembly(MultiAgentNodeConfig config)
-    : config_(Validated(std::move(config))),
+    : config_(std::move(config)),
       substrate_(config_),
       arbiter_(config_.arbiter, telemetry::MetricScope(metrics_, "arbiter"))
 {
@@ -199,13 +187,6 @@ NodeAssembly::CleanUpAll()
 {
     MarkLifecycle(control_trace_, "cleanup_all");
     registry_.CleanUpAll();
-}
-
-void
-NodeAssembly::SampleHealth(sim::TimePoint at)
-{
-    const std::string p = config_.name.empty() ? "" : config_.name + ".";
-    AppendHealthSample(*config_.health, at, Stats(), p, p);
 }
 
 FleetStats

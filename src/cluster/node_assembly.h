@@ -17,7 +17,8 @@
  *   - the node's roll-up (Stats(): every agent's counters and epoch
  *     latencies plus the arbiter's, in one pass over the slots), which
  *     TotalEpochs, AggregateStats, EpochLatencyHistogram,
- *     CollectMetrics and the node-health sample all read.
+ *     CollectMetrics and, through the fleet roll-up, the fleet health
+ *     sample all read.
  *
  * A host (MultiAgentNode, ThreadedMultiAgentNode) derives from it and
  * supplies only how an agent runs. Assemble() asks the host for two
@@ -59,7 +60,6 @@
 #include "sim/rng.h"
 #include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
-#include "telemetry/timeseries.h"
 #include "telemetry/trace.h"
 #include "workloads/best_effort.h"
 #include "workloads/memory_patterns.h"
@@ -154,23 +154,6 @@ struct MultiAgentNodeConfig {
      * disables tracing.
      */
     telemetry::trace::TraceSession* trace_session = nullptr;
-
-    /**
-     * Node-local health timeline (null disables). Both hosts sample the
-     * same "<name>.*" series (NodeAssembly::SampleHealth) at
-     * `health_period` cadence, piggybacked on the node driver tick — no
-     * new events are scheduled, so enabling it never perturbs event
-     * traces. On the simulated node timestamps are virtual queue time;
-     * on the threaded node they are the driver's substrate clock. The
-     * caller owns the store (shared so a live scrape thread can read
-     * while the driver samples). The threaded node samples from its
-     * driver thread, which only runs when a real agent is enabled.
-     */
-    telemetry::SharedTimeSeriesStore* health = nullptr;
-
-    /** Cadence of node-health samples (must be positive when `health`
-     *  is set; both nodes throw std::invalid_argument otherwise). */
-    sim::Duration health_period = sim::Millis(100);
 
     InterferenceArbiterConfig arbiter;
 
@@ -351,8 +334,7 @@ class NodeAssembly
     }
 
   protected:
-    /** Builds the substrate; throws std::invalid_argument on a
-     *  non-positive health_period with health set. */
+    /** Builds the substrate. */
     explicit NodeAssembly(MultiAgentNodeConfig config);
     ~NodeAssembly();
 
@@ -379,9 +361,6 @@ class NodeAssembly
 
     void StartAgents();
     void StopAgents();
-
-    /** Appends one node-health sample at `at` (driver-tick piggyback). */
-    void SampleHealth(sim::TimePoint at);
 
     MultiAgentNodeConfig config_;
     NodeSubstrate substrate_;

@@ -336,7 +336,6 @@ class ThreadedMultiAgentNode : public NodeAssembly
         auto last = std::chrono::steady_clock::now();
         sim::Duration memory_accum{0};
         sim::Duration channel_accum{0};
-        sim::Duration health_accum{0};
         while (driver_running_.load()) {
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(config_.node_tick));
@@ -362,17 +361,6 @@ class ThreadedMultiAgentNode : public NodeAssembly
                 substrate_.channels.Advance(start, channel_accum,
                                             substrate_.incident_rng);
                 channel_accum = sim::Duration{0};
-            }
-            if (config_.health != nullptr) {
-                // Same driver-tick piggyback as the simulated node;
-                // agent stats and arbiter counters are atomics, epoch
-                // histograms shared-snapshot copies, so reading them
-                // from the driver thread is safe.
-                health_accum += elapsed;
-                if (health_accum >= config_.health_period) {
-                    SampleHealth(substrate_now_);
-                    health_accum = sim::Duration{0};
-                }
             }
         }
     }

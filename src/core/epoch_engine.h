@@ -462,52 +462,19 @@ class EpochEngine
      * edge) and mitigates on every failing check; a passing one clears
      * the halt and folds the halted span into halted_time.
      *
+     * The assessment is counted once its halt or resume has landed, so
+     * a thread that reads actuator_assessments (the parity harnesses'
+     * clock gates) also sees what the assessment did.
+     *
      * @return true when this assessment resumed actuation (so the
      *         event-queue backend re-arms its actuation timeout).
      */
     bool
     AssessActuator(sim::TimePoint now)
     {
-        telemetry::trace::TraceSpan span(actuator_trace_,
-                                         "assess_actuator", "engine");
+        const bool resumed = RunActuatorAssessment(now);
         StatsOps::Inc(stats_.actuator_assessments);
-        const bool ok = actuator_.AssessPerformance();
-        span.AddArg("ok", ok ? 1 : 0);
-        if (!ok) {
-            bool newly_halted = false;
-            {
-                ScopedLock<typename Policy::Mutex> lock(mutex_);
-                if (!Policy::Get(halted_)) {
-                    Policy::Set(halted_, true);
-                    halt_start_ = now;
-                    newly_halted = true;
-                    DropPendingLocked();
-                }
-            }
-            if (newly_halted) {
-                StatsOps::Inc(stats_.safeguard_triggers);
-                if (actuator_trace_ != nullptr) {
-                    actuator_trace_->Instant("safeguard_trigger",
-                                             "safeguard");
-                }
-            }
-            actuator_.Mitigate();
-            StatsOps::Inc(stats_.mitigations);
-            if (actuator_trace_ != nullptr) {
-                actuator_trace_->Instant("mitigate", "safeguard");
-            }
-            return false;
-        }
-        ScopedLock<typename Policy::Mutex> lock(mutex_);
-        if (Policy::Get(halted_)) {
-            Policy::Set(halted_, false);
-            StatsOps::AddHaltedTime(stats_, now - halt_start_);
-            if (actuator_trace_ != nullptr) {
-                actuator_trace_->Instant("safeguard_resume", "safeguard");
-            }
-            return true;
-        }
-        return false;
+        return resumed;
     }
 
     // ---- Fault injection -------------------------------------------------
@@ -615,6 +582,51 @@ class EpochEngine
     }
 
   private:
+    /** AssessActuator's work, uncounted (see AssessActuator). */
+    bool
+    RunActuatorAssessment(sim::TimePoint now)
+    {
+        telemetry::trace::TraceSpan span(actuator_trace_,
+                                         "assess_actuator", "engine");
+        const bool ok = actuator_.AssessPerformance();
+        span.AddArg("ok", ok ? 1 : 0);
+        if (!ok) {
+            bool newly_halted = false;
+            {
+                ScopedLock<typename Policy::Mutex> lock(mutex_);
+                if (!Policy::Get(halted_)) {
+                    Policy::Set(halted_, true);
+                    halt_start_ = now;
+                    newly_halted = true;
+                    DropPendingLocked();
+                }
+            }
+            if (newly_halted) {
+                StatsOps::Inc(stats_.safeguard_triggers);
+                if (actuator_trace_ != nullptr) {
+                    actuator_trace_->Instant("safeguard_trigger",
+                                             "safeguard");
+                }
+            }
+            actuator_.Mitigate();
+            StatsOps::Inc(stats_.mitigations);
+            if (actuator_trace_ != nullptr) {
+                actuator_trace_->Instant("mitigate", "safeguard");
+            }
+            return false;
+        }
+        ScopedLock<typename Policy::Mutex> lock(mutex_);
+        if (Policy::Get(halted_)) {
+            Policy::Set(halted_, false);
+            StatsOps::AddHaltedTime(stats_, now - halt_start_);
+            if (actuator_trace_ != nullptr) {
+                actuator_trace_->Instant("safeguard_resume", "safeguard");
+            }
+            return true;
+        }
+        return false;
+    }
+
     /** Must hold mutex_: flushes the queue, counting each prediction
      *  as dropped while halted. */
     void

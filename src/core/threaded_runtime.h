@@ -136,7 +136,9 @@ class ThreadedRuntime
     /**
      * Starts both loops. Start after Stop resumes with a fresh epoch;
      * engine state (counters, a failing model assessment, a tripped
-     * safeguard) persists across the restart.
+     * safeguard, the delivery count) persists across the restart, and
+     * the actuator resumes at the delivery count it had already seen:
+     * it wakes for the next delivery, not for the restart itself.
      */
     void
     Start()
@@ -151,8 +153,16 @@ class ThreadedRuntime
         // due exactly one interval after start, however late the
         // actuator thread begins running.
         actuator_start_ = now;
+        // The delivery count survives Stop/Start; the actuator resumes
+        // at the count already seen, so only a new delivery wakes it.
+        std::uint64_t seen_seq = 0;
+        {
+            MutexLock lock(engine_.queue_mutex());
+            seen_seq = engine_.delivery_seq_locked();
+        }
         model_thread_ = std::thread([this] { ModelLoop(); });
-        actuator_thread_ = std::thread([this] { ActuatorLoop(); });
+        actuator_thread_ =
+            std::thread([this, seen_seq] { ActuatorLoop(seen_seq); });
     }
 
     /** Stops both loops and joins the threads. */
@@ -163,6 +173,14 @@ class ThreadedRuntime
             return;
         }
         clock_.Interrupt();
+        {
+            // running_ changed outside the queue mutex. Taking it once
+            // means the actuator is either already waiting (and gets
+            // the notify) or has not yet checked running_ (and sees
+            // false); without it, a blocking actuator could check just
+            // before the store, miss the notify and never be joined.
+            MutexLock lock(engine_.queue_mutex());
+        }
         queue_cv_.notify_all();
         if (model_thread_.joinable()) {
             model_thread_.join();
@@ -269,12 +287,11 @@ class ThreadedRuntime
     }
 
     void
-    ActuatorLoop()
+    ActuatorLoop(std::uint64_t seen_seq)
     {
         telemetry::trace::ScopedThreadRecorder bind(
             engine_.actuator_trace());
         sim::TimePoint last_assessment = actuator_start_;
-        std::uint64_t seen_seq = 0;
         while (running_.load()) {
             bool timed_out = false;
             {

@@ -203,9 +203,7 @@ ShardedFleetRunner::Run(sim::Duration span)
                 {{"window", static_cast<std::int64_t>(window_index_)},
                  {"merge", merge_this_window_ ? 1 : 0}});
         }
-        if (config_.health != nullptr &&
-            config_.health_every_n_windows != 0 &&
-            window_index_ % config_.health_every_n_windows == 0) {
+        if (config_.health != nullptr) {
             SampleFleetHealth(horizon);
         }
         now_ = horizon;
@@ -222,15 +220,43 @@ ShardedFleetRunner::SampleFleetHealth(sim::TimePoint at)
     // — identical across repeat runs and thread counts by the same
     // argument as fleet_trace_hash.
     telemetry::TimeSeriesStore& health = *config_.health;
-    cluster::AppendHealthSample(health, at, Stats(), "fleet.",
-                                "fleet.node.");
+    const auto append = [&health, at](const char* name,
+                                      std::uint64_t value) {
+        health.Append(name, at, static_cast<std::int64_t>(value));
+    };
+    const cluster::FleetStats stats = Stats();
+    const core::RuntimeStats& agents = stats.agents;
+    append("fleet.safeguard.trips", agents.safeguard_triggers);
+    append("fleet.safeguard.mitigations", agents.mitigations);
+    append("fleet.model.failures", agents.failed_assessments);
+    append("fleet.model.intercepted", agents.intercepted_predictions);
+    append("fleet.data.harvested", agents.samples_collected);
+    append("fleet.data.invalid", agents.invalid_samples);
+    append("fleet.epochs", agents.epochs);
+    append("fleet.actions", agents.actions_taken);
+    append("fleet.arbiter.requests", stats.arbiter_requests);
+    append("fleet.arbiter.denied", stats.conflicts_resolved);
+
+    // Error-budget denominators for time-fraction SLOs: cumulative
+    // halted agent-time against cumulative scheduled agent-time
+    // (agents x elapsed virtual time, exact integer math).
+    append("fleet.agent.halted_ns",
+           static_cast<std::uint64_t>(agents.halted_time.count()));
+    append("fleet.agent.active_ns",
+           stats.total_agents * static_cast<std::uint64_t>(at.count()));
+
+    const telemetry::LatencySnapshot latency =
+        stats.epoch_latency.Snapshot();
+    append("fleet.node.epoch_latency.count", latency.count);
+    append("fleet.node.epoch_latency.p50_ns", latency.p50_ns);
+    append("fleet.node.epoch_latency.p90_ns", latency.p90_ns);
+    append("fleet.node.epoch_latency.p99_ns", latency.p99_ns);
+    append("fleet.node.epoch_latency.p999_ns", latency.p999_ns);
+
     const sim::EventQueueStats queue = QueueStats();
-    health.Append("fleet.queue.executed", at,
-                  static_cast<std::int64_t>(queue.executed));
-    health.Append("fleet.queue.dropped", at,
-                  static_cast<std::int64_t>(queue.dropped));
-    health.Append("fleet.queue.pending", at,
-                  static_cast<std::int64_t>(queue.pending));
+    append("fleet.queue.executed", queue.executed);
+    append("fleet.queue.dropped", queue.dropped);
+    append("fleet.queue.pending", queue.pending);
 
     if (config_.alerts != nullptr) {
         config_.alerts->Evaluate(health, at, fleet_trace_);

@@ -123,12 +123,12 @@ struct FleetConfig {
     std::size_t trace_capacity = 4096;
 
     /**
-     * Health timeline store sampled at window barriers (null disables).
-     * Every `health_every_n_windows`-th barrier, the main thread —
-     * workers parked, so no races and no dependence on thread count —
-     * appends the fleet roll-up's health series (cluster::
-     * AppendHealthSample) plus the queue's as "fleet.*" series at the
-     * window's virtual horizon.
+     * Health timeline store sampled at every window barrier (null
+     * disables). This is the one place a health timeline is sampled:
+     * the main thread — workers parked, so no races and no dependence
+     * on thread count — appends the fleet roll-up's 20 "fleet.*" series
+     * (docs/OBSERVABILITY.md lists them) at the window's virtual
+     * horizon.
      * Sampling is observe-only: it schedules no events and mutates no
      * sampled state, so enabling it leaves fleet_trace_hash() and every
      * per-shard trace byte-identical. Caller owns the store.
@@ -144,9 +144,6 @@ struct FleetConfig {
      * the run).
      */
     telemetry::AlertEngine* alerts = nullptr;
-
-    /** Sample health every Nth window boundary (0 = never). */
-    std::size_t health_every_n_windows = 1;
 
     /** Template applied to every node (name/seed overridden per node). */
     cluster::MultiAgentNodeConfig node;

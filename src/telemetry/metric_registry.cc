@@ -14,51 +14,6 @@
 
 namespace sol::telemetry {
 
-namespace {
-
-bool
-IsValidMetricChar(char c, bool first)
-{
-    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
-        c == ':') {
-        return true;
-    }
-    return !first && c >= '0' && c <= '9';
-}
-
-}  // namespace
-
-std::string
-SanitizeMetricName(const std::string& name)
-{
-    std::string out;
-    out.reserve(name.size() + 1);
-    for (const char c : name) {
-        if (out.empty() && c >= '0' && c <= '9') {
-            out += '_';
-        }
-        out += IsValidMetricChar(c, false) ? c : '_';
-    }
-    if (out.empty()) {
-        out = "_";
-    }
-    return out;
-}
-
-bool
-IsValidMetricName(const std::string& name)
-{
-    if (name.empty()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < name.size(); ++i) {
-        if (!IsValidMetricChar(name[i], i == 0)) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void
 MetricRegistry::Increment(const std::string& name, std::uint64_t delta)
 {
@@ -278,34 +233,6 @@ MetricRegistry::Clear()
     gauges_.clear();
     series_.clear();
     histograms_.clear();
-}
-
-void
-MetricRegistry::VisitCounters(
-    const std::function<void(const std::string&, std::uint64_t)>& fn) const
-{
-    for (const auto& [name, value] : counters_) {
-        fn(name, value);
-    }
-}
-
-void
-MetricRegistry::VisitGauges(
-    const std::function<void(const std::string&, double)>& fn) const
-{
-    for (const auto& [name, value] : gauges_) {
-        fn(name, value);
-    }
-}
-
-void
-MetricRegistry::VisitHistograms(
-    const std::function<void(const std::string&, const LatencyHistogram&)>&
-        fn) const
-{
-    for (const auto& [name, histogram] : histograms_) {
-        fn(name, histogram);
-    }
 }
 
 TableWriter::TableWriter(std::vector<std::string> headers)

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -39,22 +38,6 @@ struct SeriesPoint {
     double x;
     double y;
 };
-
-/**
- * Maps an internal metric name onto the Prometheus exposition charset
- * `[a-zA-Z_:][a-zA-Z0-9_:]*`. The mapping is stable and documented
- * (docs/OBSERVABILITY.md): '.' and '-' become '_', any other invalid
- * character becomes '_', and a leading digit gains a '_' prefix —
- * "node0.smart-harvest.epochs" → "node0_smart_harvest_epochs". The
- * mapping is intentionally not injective ("a.b" and "a_b" collide);
- * registry names keep dotted namespacing as the source of truth and
- * sanitization happens only at the exposition boundary.
- */
-std::string SanitizeMetricName(const std::string& name);
-
-/** True when `name` is already a valid Prometheus metric name (i.e.
- *  SanitizeMetricName would return it unchanged and it is non-empty). */
-bool IsValidMetricName(const std::string& name);
 
 /** Registry of counters, gauges, series, and latency histograms keyed
  *  by name. */
@@ -129,22 +112,6 @@ class MetricRegistry
     void MergeFrom(const MetricRegistry& other, const std::string& prefix);
 
     void Clear();
-
-    /** Visits every counter in name order (deterministic). Read-only:
-     *  samplers and exposition writers iterate through these hooks
-     *  instead of friend access to the underlying maps. */
-    void VisitCounters(
-        const std::function<void(const std::string&, std::uint64_t)>& fn)
-        const;
-
-    /** Visits every gauge in name order (deterministic). */
-    void VisitGauges(
-        const std::function<void(const std::string&, double)>& fn) const;
-
-    /** Visits every latency histogram in name order (deterministic). */
-    void VisitHistograms(
-        const std::function<void(const std::string&,
-                                 const LatencyHistogram&)>& fn) const;
 
     const std::map<std::string, std::uint64_t>& counters() const
     {

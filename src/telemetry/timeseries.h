@@ -13,13 +13,13 @@
  * control plane. TimeSeriesStore is that layer, built to the repo's
  * standing invariants:
  *
- *  - Deterministic: samples are taken at virtual-time boundaries the
- *    simulation already synchronizes on (fleet window barriers, node
- *    driver ticks), carry virtual timestamps, and store integer
- *    values only (gauges are scaled to fixed-point milli-units at the
- *    sampling boundary). A scenario's full timeline — every series,
- *    every sample — is byte-identical across repeat runs and across
- *    1/2/8 fleet worker threads, fingerprinted by timeline_hash().
+ *  - Deterministic: samples are taken at the one virtual-time boundary
+ *    the simulation already synchronizes on (the fleet window
+ *    barrier; fleet::ShardedFleetRunner is the only sampler), carry
+ *    virtual timestamps, and store integer values only. A scenario's
+ *    full timeline — every series, every sample — is byte-identical
+ *    across repeat runs and across 1/2/8 fleet worker threads,
+ *    fingerprinted by timeline_hash().
  *  - Observe-only: sampling never schedules events and never mutates
  *    the sampled registries, so enabling a timeline leaves event-trace
  *    hashes byte-stable.
@@ -30,8 +30,7 @@
  *    is the opposite — alerts ask about "now minus lookback".)
  *
  * telemetry::AlertEngine (alerting.h) evaluates SLO/alert rules over
- * these series; PrometheusWriter (exposition.h) serializes the latest
- * sample of every series as text exposition format.
+ * these series; HealthReportWriter (alerting.h) serializes them.
  */
 #pragma once
 
@@ -41,13 +40,9 @@
 #include <string>
 #include <vector>
 
-#include "core/sync.h"
-#include "core/thread_annotations.h"
 #include "sim/time.h"
 
 namespace sol::telemetry {
-
-class MetricRegistry;
 
 /** One timeline point: a virtual timestamp and an integer value. */
 struct TimeSample {
@@ -120,20 +115,12 @@ class TimeSeries
  * Named collection of TimeSeries sharing one per-series capacity.
  *
  * Single-threaded by design, like MetricRegistry: the sampling
- * boundary that writes it is always a single logical thread (the fleet
- * runner's main thread between barriers, a node's driver). Use
- * SharedTimeSeriesStore when a live thread (a scrape handler) must
- * read while a driver samples.
+ * boundary that writes it is the fleet runner's main thread between
+ * barriers.
  */
 class TimeSeriesStore
 {
   public:
-    /** Fixed-point scale applied to double-valued gauges at the
-     *  sampling boundary: stored value = round(gauge * kGaugeScale),
-     *  and the series is named `<gauge>.milli` so the scaling is
-     *  visible in the series name (documented stable mapping). */
-    static constexpr std::int64_t kGaugeScale = 1000;
-
     explicit TimeSeriesStore(std::size_t series_capacity = 1024);
 
     /** Appends one sample to `name` (creating the series on first
@@ -161,16 +148,6 @@ class TimeSeriesStore
             fn) const;
 
     /**
-     * Samples every metric of a registry at `at` under `prefix + "."`
-     * (empty prefix = bare names), via the registry's Visit hooks:
-     * counters as-is, gauges as fixed-point `<name>.milli`, histograms
-     * as `<name>.p50_ns/.p90_ns/.p99_ns/.p999_ns` plus `<name>.count`.
-     * Observe-only: the registry is never mutated.
-     */
-    void SampleRegistry(const MetricRegistry& registry,
-                        const std::string& prefix, sim::TimePoint at);
-
-    /**
      * FNV-1a fingerprint over every series name and every retained
      * sample (name order): two stores with identical timelines hash
      * identically, so determinism gates compare one integer.
@@ -182,65 +159,6 @@ class TimeSeriesStore
   private:
     std::size_t series_capacity_;
     std::map<std::string, TimeSeries> series_;
-};
-
-/**
- * Mutex-guarded TimeSeriesStore for concurrent producer/scraper pairs.
- *
- * The threaded node's driver samples its health timeline on the driver
- * thread while a live scrape (PrometheusWriter over Snapshot()) reads
- * from another; this wrapper is the SharedMetricRegistry idiom applied
- * to timelines — writers pay the lock per *sample* (10 Hz class, not
- * per event), readers take a consistent copy.
- */
-class SharedTimeSeriesStore
-{
-  public:
-    explicit SharedTimeSeriesStore(std::size_t series_capacity = 1024)
-        : store_(series_capacity)
-    {
-    }
-
-    void
-    Append(const std::string& name, sim::TimePoint at, std::int64_t value)
-    {
-        core::MutexLock lock(mutex_);
-        store_.Append(name, at, value);
-    }
-
-    void
-    SampleRegistry(const MetricRegistry& registry,
-                   const std::string& prefix, sim::TimePoint at)
-    {
-        core::MutexLock lock(mutex_);
-        store_.SampleRegistry(registry, prefix, at);
-    }
-
-    /** Copies the current timelines out (thread-safe). */
-    TimeSeriesStore
-    Snapshot() const
-    {
-        core::MutexLock lock(mutex_);
-        return store_;
-    }
-
-    std::uint64_t
-    timeline_hash() const
-    {
-        core::MutexLock lock(mutex_);
-        return store_.timeline_hash();
-    }
-
-    void
-    Clear()
-    {
-        core::MutexLock lock(mutex_);
-        store_.Clear();
-    }
-
-  private:
-    mutable core::Mutex mutex_;
-    TimeSeriesStore store_ SOL_GUARDED_BY(mutex_);
 };
 
 }  // namespace sol::telemetry

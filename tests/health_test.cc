@@ -1,40 +1,32 @@
 /**
  * @file
  * Deterministic fleet health timelines: TimeSeries ring semantics,
- * AlertEngine rule evaluation, Prometheus exposition, health reports,
- * and the fleet/node sampling integration.
+ * AlertEngine rule evaluation, health reports, and the fleet's
+ * window-barrier sampler.
  *
  * The load-bearing properties, in test order:
  *   1. TimeSeries — ring keeps the tail, queries refuse partial
  *      windows instead of extrapolating.
- *   2. TimeSeriesStore — name-ordered visitation, fixed-point gauge
- *      scaling, a timeline fingerprint that equal timelines share.
+ *   2. TimeSeriesStore — name-ordered visitation and a timeline
+ *      fingerprint that equal timelines share.
  *   3. AlertEngine — threshold/rate/burn conditions, hold timers,
  *      firing/resolved edges with observed values, SLO budgets.
- *   4. Exposition — byte-exact Prometheus text with sanitized names.
+ *   4. Health report — the serialized timeline, alert log and SLOs.
  *   5. Fleet integration — window-barrier sampling is byte-identical
- *      across repeat runs and 1/2/8 worker threads, and observe-only
- *      (enabling it leaves the fleet trace hash untouched).
- *   6. SharedTimeSeriesStore under concurrent producers/scrapers (the
- *      TSan leg repeats HealthConcurrency tests 20x).
+ *      across repeat runs and 1/2/8 worker threads, observe-only
+ *      (enabling it leaves the fleet trace hash untouched), and takes
+ *      exactly one sample per series per barrier (the TSan leg repeats
+ *      FleetHealth tests 20x).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "cluster/multi_agent_node.h"
-#include "cluster/threaded_multi_agent_node.h"
 #include "fleet/fleet_runner.h"
-#include "sim/event_queue.h"
 #include "telemetry/alerting.h"
-#include "telemetry/exposition.h"
-#include "telemetry/metric_registry.h"
 #include "telemetry/timeseries.h"
 
 namespace sol::telemetry {
@@ -134,35 +126,6 @@ TEST(TimeSeriesStore, FindNeverInsertsAndVisitIsNameOrdered)
     EXPECT_EQ(order[0], "a.one");
     EXPECT_EQ(order[1], "b.two");
     EXPECT_EQ(store.total_appended(), 2u);
-}
-
-TEST(TimeSeriesStore, SampleRegistryCoversEveryMetricKind)
-{
-    MetricRegistry registry;
-    registry.Increment("epochs", 42);
-    registry.SetGauge("load", 1.5);
-    LatencyHistogram hist;
-    hist.Record(1000);
-    hist.Record(2000);
-    registry.MergeHistogram("epoch_latency", hist);
-
-    TimeSeriesStore store;
-    store.SampleRegistry(registry, "node0", Ms(100));
-
-    std::int64_t value = 0;
-    ASSERT_TRUE(store.ValueAt("node0.epochs", Ms(100), &value));
-    EXPECT_EQ(value, 42);
-    // Gauges are fixed-point: value * kGaugeScale under `.milli`.
-    ASSERT_TRUE(store.ValueAt("node0.load.milli", Ms(100), &value));
-    EXPECT_EQ(value, 1500);
-    ASSERT_TRUE(store.ValueAt("node0.epoch_latency.count", Ms(100), &value));
-    EXPECT_EQ(value, 2);
-    for (const char* q : {"p50_ns", "p90_ns", "p99_ns", "p999_ns"}) {
-        ASSERT_TRUE(store.ValueAt("node0.epoch_latency." + std::string(q),
-                                  Ms(100), &value))
-            << q;
-        EXPECT_GT(value, 0) << q;
-    }
 }
 
 TEST(TimeSeriesStore, TimelineHashFingerprintsContent)
@@ -399,62 +362,6 @@ TEST(AlertEngine, DefaultFleetPackIsWellFormed)
     EXPECT_EQ(engine.num_rules(), pack.size());
 }
 
-// ---- Prometheus exposition ----------------------------------------------
-
-TEST(PrometheusWriter, RegistryRendersTypedSanitizedMetrics)
-{
-    MetricRegistry registry;
-    registry.Increment("fleet.epochs", 42);
-    registry.SetGauge("fleet.load", 2.0);
-
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    EXPECT_NE(text.find("# TYPE fleet_epochs counter\n"), std::string::npos)
-        << text;
-    EXPECT_NE(text.find("fleet_epochs 42\n"), std::string::npos);
-    EXPECT_NE(text.find("# TYPE fleet_load gauge\n"), std::string::npos);
-    EXPECT_NE(text.find("fleet_load 2\n"), std::string::npos);
-}
-
-TEST(PrometheusWriter, HistogramsExportQuantileGauges)
-{
-    MetricRegistry registry;
-    LatencyHistogram hist;
-    hist.Record(1000);
-    registry.MergeHistogram("epoch", hist);
-
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    EXPECT_NE(text.find("epoch_count 1\n"), std::string::npos) << text;
-    EXPECT_NE(text.find("epoch_p99_ns"), std::string::npos);
-}
-
-TEST(PrometheusWriter, LatestRendersVirtualMillisTimestamps)
-{
-    TimeSeriesStore store;
-    store.Append("fleet.epochs", Ms(1500), 7);
-    const std::string text = PrometheusWriter::LatestToString(store);
-    // Latest sample, sanitized name, value, virtual-ms timestamp.
-    EXPECT_EQ(text, "fleet_epochs 7 1500\n");
-}
-
-TEST(PrometheusWriter, EveryExportedNameIsValid)
-{
-    MetricRegistry registry;
-    registry.Increment("fleet.data.invalid");
-    registry.Increment("9starts.with-digit");
-    const std::string text = PrometheusWriter::RegistryToString(registry);
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        const std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.empty() || line[0] == '#') {
-            continue;
-        }
-        const std::string name = line.substr(0, line.find(' '));
-        EXPECT_TRUE(IsValidMetricName(name)) << line;
-    }
-}
-
 // ---- Health report ------------------------------------------------------
 
 TEST(HealthReportWriter, SerializesTimelineAlertsAndSlos)
@@ -508,8 +415,7 @@ struct FleetHealthRun {
 };
 
 FleetHealthRun
-RunSmallFleet(std::size_t threads, bool with_health,
-              std::size_t every_n_windows = 1)
+RunSmallFleet(std::size_t threads, bool with_health)
 {
     TimeSeriesStore health;
     AlertEngine engine;
@@ -517,7 +423,6 @@ RunSmallFleet(std::size_t threads, bool with_health,
     fleet::FleetConfig config = SmallFleet(
         with_health ? &health : nullptr, with_health ? &engine : nullptr);
     config.num_threads = threads;
-    config.health_every_n_windows = every_n_windows;
     fleet::ShardedFleetRunner runner(config);
     runner.Run(sim::Seconds(1));
     runner.Stop();
@@ -559,17 +464,26 @@ TEST(FleetHealth, SamplingIsObserveOnly)
     EXPECT_EQ(without.samples, 0u);
 }
 
-TEST(FleetHealth, SamplingCadenceFollowsEveryNWindows)
+TEST(FleetHealth, SamplesOncePerWindowBarrier)
 {
-    const FleetHealthRun every = RunSmallFleet(1, true, 1);
-    const FleetHealthRun sparse = RunSmallFleet(1, true, 2);
-    const FleetHealthRun never = RunSmallFleet(1, true, 0);
-    EXPECT_GT(every.samples, sparse.samples);
-    EXPECT_GT(sparse.samples, 0u);
-    EXPECT_EQ(never.samples, 0u);
-    // Halving the cadence halves the per-series sample count; the
-    // series population is unchanged.
-    EXPECT_EQ(sparse.samples * 2, every.samples);
+    // The window barrier is the only sampler: 1 s of 100 ms windows
+    // gives each of the 20 fleet series one sample per barrier, stamped
+    // with that window's horizon.
+    TimeSeriesStore health;
+    fleet::ShardedFleetRunner runner(SmallFleet(&health, nullptr));
+    runner.Run(sim::Seconds(1));
+    runner.Stop();
+
+    EXPECT_EQ(health.num_series(), 20u);
+    health.VisitSeries(
+        [](const std::string& name, const TimeSeries& series) {
+            ASSERT_EQ(series.size(), 10u) << name;
+            for (std::size_t i = 0; i < series.size(); ++i) {
+                EXPECT_EQ(series.at(i).at,
+                          Ms(100 * static_cast<std::int64_t>(i + 1)))
+                    << name;
+            }
+        });
 }
 
 TEST(FleetHealth, FleetSeriesCarryExpectedNames)
@@ -597,165 +511,6 @@ TEST(FleetHealth, FleetSeriesCarryExpectedNames)
     ASSERT_TRUE(health.ValueAt("fleet.agent.active_ns", Ms(300), &active));
     const std::int64_t agents = 4 * (2 + 4);  // 4 nodes x (2 syn + 4 real).
     EXPECT_EQ(active, agents * Ms(300).count());
-}
-
-// ---- Node-level sampling ------------------------------------------------
-
-TEST(NodeHealth, DriverTickSamplesAtConfiguredPeriod)
-{
-    sim::EventQueue queue;
-    SharedTimeSeriesStore health;
-    cluster::MultiAgentNodeConfig config;
-    config.name = "node0";
-    config.synthetic_agents = 2;
-    config.health = &health;
-    config.health_period = sim::Millis(100);
-    cluster::MultiAgentNode node(queue, config);
-    node.Start();
-    queue.RunFor(sim::Seconds(1));
-
-    const TimeSeriesStore snapshot = health.Snapshot();
-    const TimeSeries* epochs = snapshot.Find("node0.epochs");
-    ASSERT_NE(epochs, nullptr);
-    // ~10 samples over 1s at 100ms cadence (first at 100ms).
-    EXPECT_GE(epochs->size(), 9u);
-    EXPECT_LE(epochs->size(), 11u);
-    EXPECT_NE(snapshot.Find("node0.epoch_latency.p99_ns"), nullptr);
-    EXPECT_NE(snapshot.Find("node0.agent.active_ns"), nullptr);
-}
-
-TEST(NodeHealth, NodeSeriesCarryExpectedNames)
-{
-    sim::EventQueue queue;
-    SharedTimeSeriesStore health;
-    cluster::MultiAgentNodeConfig config;
-    config.name = "node3";
-    config.synthetic_agents = 2;
-    config.health = &health;
-    config.health_period = sim::Millis(100);
-    cluster::MultiAgentNode node(queue, config);
-    node.Start();
-    queue.RunFor(sim::Millis(300));
-    node.Stop();
-
-    // The fleet's series minus its queue.* ones, under the node's name;
-    // the epoch latencies sit directly under it (no "node." scope).
-    const TimeSeriesStore snapshot = health.Snapshot();
-    for (const char* name :
-         {"node3.epochs", "node3.data.harvested", "node3.data.invalid",
-          "node3.safeguard.trips", "node3.safeguard.mitigations",
-          "node3.model.failures", "node3.model.intercepted",
-          "node3.actions", "node3.arbiter.requests",
-          "node3.arbiter.denied", "node3.agent.halted_ns",
-          "node3.agent.active_ns", "node3.epoch_latency.count",
-          "node3.epoch_latency.p50_ns", "node3.epoch_latency.p90_ns",
-          "node3.epoch_latency.p99_ns", "node3.epoch_latency.p999_ns"}) {
-        EXPECT_NE(snapshot.Find(name), nullptr) << name;
-    }
-    EXPECT_EQ(snapshot.num_series(), 17u);
-    // active_ns is the SLO denominator: agents x elapsed virtual time.
-    std::int64_t active = 0;
-    ASSERT_TRUE(
-        snapshot.ValueAt("node3.agent.active_ns", Ms(300), &active));
-    EXPECT_EQ(active, (2 + 4) * Ms(300).count());
-}
-
-TEST(NodeHealth, RejectsNonPositivePeriod)
-{
-    SharedTimeSeriesStore health;
-    cluster::MultiAgentNodeConfig config;
-    config.health = &health;
-    // Both hosts reject it (a zero period would otherwise sample on
-    // every driver tick of the threaded node).
-    for (const sim::Duration period : {sim::Duration::zero(),
-                                       -sim::Millis(1)}) {
-        config.health_period = period;
-        sim::EventQueue queue;
-        EXPECT_THROW(
-            {
-                cluster::MultiAgentNode node(queue, config);
-                node.Start();
-            },
-            std::invalid_argument);
-        EXPECT_THROW(
-            {
-                cluster::ThreadedMultiAgentNode<> node(config);
-                node.Start();
-            },
-            std::invalid_argument);
-    }
-}
-
-// ---- Concurrency (TSan leg repeats HealthConcurrency 20x) ---------------
-
-TEST(HealthConcurrency, SharedStoreSurvivesProducersAndScrapers)
-{
-    SharedTimeSeriesStore store;
-    constexpr int kProducers = 4;
-    constexpr int kSamples = 500;
-    std::atomic<bool> stop{false};
-
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&store, p] {
-            const std::string name = "series." + std::to_string(p);
-            for (int i = 0; i < kSamples; ++i) {
-                store.Append(name, Ms(i), i);
-            }
-        });
-    }
-    std::thread scraper([&store, &stop] {
-        std::uint64_t scrapes = 0;
-        while (!stop.load(std::memory_order_relaxed) || scrapes == 0) {
-            const TimeSeriesStore snapshot = store.Snapshot();
-            (void)PrometheusWriter::LatestToString(snapshot);
-            (void)snapshot.timeline_hash();
-            ++scrapes;
-        }
-    });
-    for (std::thread& t : producers) {
-        t.join();
-    }
-    stop.store(true, std::memory_order_relaxed);
-    scraper.join();
-
-    const TimeSeriesStore final_snapshot = store.Snapshot();
-    EXPECT_EQ(final_snapshot.num_series(),
-              static_cast<std::size_t>(kProducers));
-    EXPECT_EQ(final_snapshot.total_appended(),
-              static_cast<std::uint64_t>(kProducers) * kSamples);
-}
-
-TEST(HealthConcurrency, ConcurrentRegistrySamplingStaysConsistent)
-{
-    // One driver samples a shared registry into the store while a
-    // scraper snapshots — the threaded node's production arrangement.
-    SharedMetricRegistry registry;
-    SharedTimeSeriesStore store;
-    std::atomic<bool> stop{false};
-
-    std::thread driver([&] {
-        for (int i = 1; i <= 200; ++i) {
-            registry.Increment("epochs");
-            const MetricRegistry snap = registry.Snapshot();
-            store.SampleRegistry(snap, "node", Ms(i));
-        }
-        stop.store(true, std::memory_order_relaxed);
-    });
-    std::thread scraper([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            (void)store.timeline_hash();
-        }
-    });
-    driver.join();
-    scraper.join();
-
-    const TimeSeriesStore snapshot = store.Snapshot();
-    const TimeSeries* epochs = snapshot.Find("node.epochs");
-    ASSERT_NE(epochs, nullptr);
-    EXPECT_EQ(epochs->total_appended(), 200u);
-    EXPECT_EQ(epochs->Latest().value, 200);
 }
 
 }  // namespace

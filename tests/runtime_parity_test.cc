@@ -22,6 +22,8 @@
  * Under the gate, each tick runs in lockstep: collect (+ deliver /
  * assess / act) fully completes in both backends before the next tick
  * starts, which makes even halted_time comparable to the nanosecond.
+ * With the actuator safeguard on, both legs also check that order per
+ * tick: the assessment of tick k must see tick k's collect.
  * Scenarios cover valid/invalid/fault-injected samples, forced and
  * deadline short-circuits, failing model assessments (interception),
  * actuator-safeguard trips with recovery, and Stop/Start cycles —
@@ -31,6 +33,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -81,7 +84,15 @@ struct Scenario {
     std::size_t restart_after_tick = 0;
     /** Install the kFaultMarker-corrupting data fault on the runtime. */
     bool install_fault = false;
+    /** Collects (1-based) that first sleep kSlowCollect of wall time.
+     *  On the threaded leg the model thread has already advanced the
+     *  clock to the tick, so the sleep widens the window in which a
+     *  stray actuator wake could assess the tick before its delivery;
+     *  on the event queue it changes nothing. */
+    std::vector<std::size_t> slow_collects;
 };
+
+constexpr auto kSlowCollect = std::chrono::milliseconds(40);
 
 /** Baseline schedule: tick-paced collection, never-expiring epochs,
  *  blocking actuator (every parity scenario uses blocking mode so
@@ -121,6 +132,12 @@ class ScriptedModel : public Model<int, int>
     int
     CollectData() override
     {
+        // Sleep before counting: an assessment that overtakes this
+        // tick's delivery still sees the previous tick's collects().
+        if (std::ranges::count(scenario_.slow_collects,
+                               position_.load() + 1) > 0) {
+            std::this_thread::sleep_for(kSlowCollect);
+        }
         const std::size_t i = position_.fetch_add(1);
         // The harnesses bound collection at the script length (event
         // horizon / granted ticks), so the fallback is defensive only.
@@ -192,11 +209,13 @@ class ScriptedModel : public Model<int, int>
     std::function<void()> assess_barrier_ SOL_GUARDED_BY(barrier_mutex_);
 };
 
+/** Plays the scenario's assessment script and records, at every
+ *  AssessPerformance, how many collects the model had finished. */
 class ScriptedActuator : public Actuator<int>
 {
   public:
-    explicit ScriptedActuator(const Scenario& scenario)
-        : scenario_(scenario)
+    ScriptedActuator(const Scenario& scenario, const ScriptedModel& model)
+        : scenario_(scenario), model_(model)
     {
     }
 
@@ -212,6 +231,10 @@ class ScriptedActuator : public Actuator<int>
     bool
     AssessPerformance() override
     {
+        {
+            core::MutexLock lock(seen_mutex_);
+            collects_seen_.push_back(model_.collects());
+        }
         const std::size_t k = assessments_.fetch_add(1);
         return k < scenario_.actuator_assessments.size()
                    ? scenario_.actuator_assessments[k]
@@ -223,8 +246,19 @@ class ScriptedActuator : public Actuator<int>
 
     std::size_t assessments() const { return assessments_.load(); }
 
+    /** model.collects() at each assessment, in assessment order. */
+    std::vector<std::size_t>
+    collects_seen() const
+    {
+        core::MutexLock lock(seen_mutex_);
+        return collects_seen_;
+    }
+
   private:
     const Scenario& scenario_;
+    const ScriptedModel& model_;
+    mutable core::Mutex seen_mutex_;
+    std::vector<std::size_t> collects_seen_ SOL_GUARDED_BY(seen_mutex_);
     std::atomic<std::uint64_t> actions_{0};
     std::atomic<std::uint64_t> default_actions_{0};
     std::atomic<std::uint64_t> mitigations_{0};
@@ -241,7 +275,36 @@ MarkerFault()
     };
 }
 
-using ParityThreadedRuntime = ThreadedRuntime<int, int, ManualClock>;
+/** ManualClock whose first blocking wait after each OnStart begins
+ *  10 ms late, so a restarted actuator thread that wakes without a
+ *  delivery reads a clock the model thread has already advanced. */
+class LateActuatorClock : public ManualClock
+{
+  public:
+    void
+    OnStart()
+    {
+        ManualClock::OnStart();
+        late_.store(true);
+    }
+
+    template <typename Lock, typename Ready>
+    void
+    Wait(ConditionVariable& cv, Lock& lock, Ready ready)
+    {
+        if (late_.exchange(false)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        }
+        ManualClock::Wait(cv, lock, ready);
+    }
+
+  private:
+    std::atomic<bool> late_{false};
+};
+
+template <typename Clock>
+using ParityRuntime = ThreadedRuntime<int, int, Clock>;
+using ParityThreadedRuntime = ParityRuntime<ManualClock>;
 
 template <typename Condition>
 bool
@@ -261,8 +324,9 @@ WaitUntil(Condition condition)
 /** Blocks until the threaded leg finished the phase: the model parked
  *  on the tick budget, every scripted collect ran, every due actuator
  *  assessment completed, and the actuator drained every delivery. */
+template <typename Runtime>
 void
-Quiesce(ParityThreadedRuntime& runtime, const ScriptedModel& model,
+Quiesce(Runtime& runtime, const ScriptedModel& model,
         const ScriptedActuator& actuator, std::size_t expected_collects,
         std::size_t expected_assessments)
 {
@@ -282,12 +346,34 @@ Quiesce(ParityThreadedRuntime& runtime, const ScriptedModel& model,
                       << expected_assessments;
 }
 
+/**
+ * The order the threaded leg's clock gate assumes: with the safeguard
+ * on, one delivery and one assessment fall due per tick, and the
+ * assessment of tick k runs after tick k's collect and delivery (the
+ * event queue runs the collect first at the same instant). Checked per
+ * assessment, so a drift fails at the tick where it happens rather
+ * than as a count mismatch ticks later.
+ */
+void
+ExpectEachAssessmentSeesItsTick(const ScriptedActuator& actuator,
+                                const char* leg)
+{
+    const std::vector<std::size_t> seen = actuator.collects_seen();
+    for (std::size_t k = 0; k < seen.size(); ++k) {
+        if (seen[k] != k + 1) {
+            ADD_FAILURE() << leg << ": assessment " << k + 1
+                          << " saw " << seen[k] << " collects";
+            return;
+        }
+    }
+}
+
 RuntimeStats
 RunSimLeg(const Scenario& scenario)
 {
     sim::EventQueue queue;
     ScriptedModel model(scenario);
-    ScriptedActuator actuator(scenario);
+    ScriptedActuator actuator(scenario, model);
     SimRuntime<int, int> runtime(queue, model, actuator,
                                  scenario.schedule, scenario.options);
     if (scenario.install_fault) {
@@ -303,16 +389,18 @@ RunSimLeg(const Scenario& scenario)
     queue.RunUntil(kTick *
                    static_cast<std::int64_t>(scenario.ticks.size()));
     runtime.Stop();
+    ExpectEachAssessmentSeesItsTick(actuator, "sim");
     return runtime.stats();
 }
 
+template <typename Clock = ManualClock>
 RuntimeStats
 RunThreadedLeg(const Scenario& scenario)
 {
     ScriptedModel model(scenario);
-    ScriptedActuator actuator(scenario);
-    ParityThreadedRuntime runtime(model, actuator, scenario.schedule,
-                                  scenario.options);
+    ScriptedActuator actuator(scenario, model);
+    ParityRuntime<Clock> runtime(model, actuator, scenario.schedule,
+                                 scenario.options);
     if (scenario.install_fault) {
         runtime.SetDataFault(MarkerFault());
     }
@@ -344,6 +432,7 @@ RunThreadedLeg(const Scenario& scenario)
         Quiesce(runtime, model, actuator, total, safeguard ? total : 0);
     }
     runtime.Stop();
+    ExpectEachAssessmentSeesItsTick(actuator, "threaded");
     return runtime.stats();
 }
 
@@ -528,7 +617,7 @@ TEST(RuntimeParityTest, StopRacingPendingModelAssessmentKeepsPrediction)
     const RuntimeStats sim = RunSimLeg(scenario);
 
     ScriptedModel model(scenario);
-    ScriptedActuator actuator(scenario);
+    ScriptedActuator actuator(scenario, model);
     ParityThreadedRuntime runtime(model, actuator, scenario.schedule,
                                   scenario.options);
     runtime.clock().SetGate([&runtime] {
@@ -601,6 +690,31 @@ TEST(RuntimeParityTest, RestartWhileHaltedKeepsSafeguardEngaged)
     EXPECT_EQ(sim.actions_taken, 4u);         // Ticks 1-2 and 9-10.
     // Halted tick 3 -> tick 8; the stopped span [5, 5] adds nothing.
     EXPECT_EQ(sim.halted_time, 5 * kTick);
+}
+
+TEST(RuntimeParityTest, RestartedActuatorWaitsForTheNextDelivery)
+{
+    // The same scenario with the restart race forced: the restarted
+    // actuator's first wait starts 10 ms late and collects 6-8 sleep
+    // 40 ms after the clock advanced. An actuator that took the
+    // restart itself for a delivery would assess tick 6 before tick 6
+    // delivered, open the gate a step early, and let the tick-8 resume
+    // overtake the tick-8 delivery (dropped 5 and acted 5, not 6 and
+    // 4). It must resume at the delivery count it had already seen.
+    Scenario scenario;
+    scenario.ticks = ValidTicks(10);
+    scenario.schedule = ParitySchedule();
+    scenario.actuator_assessments = {true, true,  false, false, false,
+                                     false, false, true,  true,  true};
+    scenario.options = ParityOptions(/*safeguard_enabled=*/true);
+    scenario.restart_after_tick = 5;
+    scenario.slow_collects = {6, 7, 8};
+
+    const RuntimeStats sim = RunSimLeg(scenario);
+    const RuntimeStats threaded = RunThreadedLeg<LateActuatorClock>(scenario);
+    ExpectStatsEqual(sim, threaded);
+    EXPECT_EQ(threaded.dropped_while_halted, 6u);
+    EXPECT_EQ(threaded.actions_taken, 4u);
 }
 
 }  // namespace

@@ -719,38 +719,10 @@ TEST(WindowPercentileTest, ExtremeValuesSurviveQuantiles)
 }
 
 // ---------------------------------------------------------------------------
-// Metric name sanitization & registry visitation
+// Registry read accessors
 // ---------------------------------------------------------------------------
 
-TEST(MetricNameTest, SanitizeMapsDotsAndInvalidRunsToUnderscores)
-{
-    EXPECT_EQ(SanitizeMetricName("fleet.data.invalid"),
-              "fleet_data_invalid");
-    EXPECT_EQ(SanitizeMetricName("epoch-latency.p99_ns"),
-              "epoch_latency_p99_ns");
-    EXPECT_EQ(SanitizeMetricName("already_valid:name"),
-              "already_valid:name");
-    EXPECT_EQ(SanitizeMetricName("9leading"), "_9leading");
-    EXPECT_EQ(SanitizeMetricName(""), "_");
-}
-
-TEST(MetricNameTest, ValidityMatchesSanitizedFixedPoint)
-{
-    EXPECT_TRUE(IsValidMetricName("fleet_epochs"));
-    EXPECT_TRUE(IsValidMetricName("_private:scope"));
-    EXPECT_FALSE(IsValidMetricName("fleet.epochs"));
-    EXPECT_FALSE(IsValidMetricName("9digit"));
-    EXPECT_FALSE(IsValidMetricName(""));
-    // Sanitize is idempotent and always lands on a valid name.
-    for (const char* name :
-         {"fleet.data.invalid", "9leading", "weird name!", "ok_name"}) {
-        const std::string sanitized = SanitizeMetricName(name);
-        EXPECT_TRUE(IsValidMetricName(sanitized)) << name;
-        EXPECT_EQ(SanitizeMetricName(sanitized), sanitized) << name;
-    }
-}
-
-TEST(MetricRegistryTest, VisitHooksWalkNameOrdered)
+TEST(MetricRegistryTest, ReadAccessorsWalkNameOrdered)
 {
     MetricRegistry registry;
     registry.Increment("b.count", 2);
@@ -761,30 +733,20 @@ TEST(MetricRegistryTest, VisitHooksWalkNameOrdered)
     registry.MergeHistogram("m.latency", hist);
 
     std::vector<std::string> counters;
-    registry.VisitCounters(
-        [&](const std::string& name, std::uint64_t value) {
-            counters.push_back(name + "=" + std::to_string(value));
-        });
+    for (const auto& [name, value] : registry.counters()) {
+        counters.push_back(name + "=" + std::to_string(value));
+    }
     ASSERT_EQ(counters.size(), 2u);
     EXPECT_EQ(counters[0], "a.count=1");
     EXPECT_EQ(counters[1], "b.count=2");
 
-    std::size_t gauges = 0;
-    registry.VisitGauges([&](const std::string& name, double value) {
-        EXPECT_EQ(name, "z.load");
-        EXPECT_DOUBLE_EQ(value, 0.5);
-        ++gauges;
-    });
-    EXPECT_EQ(gauges, 1u);
+    ASSERT_EQ(registry.gauges().size(), 1u);
+    EXPECT_EQ(registry.gauges().begin()->first, "z.load");
+    EXPECT_DOUBLE_EQ(registry.gauges().begin()->second, 0.5);
 
-    std::size_t histograms = 0;
-    registry.VisitHistograms(
-        [&](const std::string& name, const LatencyHistogram& h) {
-            EXPECT_EQ(name, "m.latency");
-            EXPECT_EQ(h.count(), 1u);
-            ++histograms;
-        });
-    EXPECT_EQ(histograms, 1u);
+    ASSERT_EQ(registry.histograms().size(), 1u);
+    EXPECT_EQ(registry.histograms().begin()->first, "m.latency");
+    EXPECT_EQ(registry.histograms().begin()->second.count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
