@@ -87,14 +87,14 @@ main()
 
     sol::telemetry::BenchJson json("fig5_actuator_safeguard");
     json.AddTable("results", table);
-    sol::telemetry::MetricRegistry trace;
+    TableWriter trace({"time_s", "freq_ghz", "alpha", "safeguard_active"});
     for (const auto& p : guarded.trace) {
-        trace.AppendSeries("freq_ghz", p.time_s, p.freq_ghz);
-        trace.AppendSeries("alpha", p.time_s, p.alpha);
-        trace.AppendSeries("safeguard_active", p.time_s,
-                           p.safeguard_active ? 1.0 : 0.0);
+        trace.AddRow({TableWriter::Exact(p.time_s),
+                      TableWriter::Exact(p.freq_ghz),
+                      TableWriter::Exact(p.alpha),
+                      p.safeguard_active ? "1" : "0"});
     }
-    json.AddMetrics("guarded_trace", trace);
+    json.AddTable("guarded_trace", trace);
     json.WriteFile();
     return 0;
 }

@@ -89,14 +89,15 @@ main()
 
     sol::telemetry::BenchJson json("fig8_memory_safeguards");
     json.AddTable("results", table);
-    sol::telemetry::MetricRegistry trace;
+    // Both runs sample on the same SLO-window grid, so one time column
+    // serves.
+    TableWriter trace({"time_s", "remote_none", "remote_all"});
     for (std::size_t i = 0; i < n; ++i) {
-        trace.AppendSeries("remote_none", none_run.trace[i].time_s,
-                           none_run.trace[i].remote_fraction);
-        trace.AppendSeries("remote_all", all_run.trace[i].time_s,
-                           all_run.trace[i].remote_fraction);
+        trace.AddRow({TableWriter::Exact(none_run.trace[i].time_s),
+                      TableWriter::Exact(none_run.trace[i].remote_fraction),
+                      TableWriter::Exact(all_run.trace[i].remote_fraction)});
     }
-    json.AddMetrics("remote_fraction_trace", trace);
+    json.AddTable("remote_fraction_trace", trace);
     json.WriteFile();
     return 0;
 }

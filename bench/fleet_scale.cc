@@ -35,7 +35,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,14 +141,6 @@ RunFleet(const BenchConfig& bench, std::size_t threads, bool traced)
     return result;
 }
 
-std::string
-Hex(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << value;
-    return os.str();
-}
-
 }  // namespace
 
 int
@@ -227,7 +218,7 @@ main(int argc, char** argv)
              TableWriter::Num(run.events_per_sec / base.events_per_sec,
                               2),
              TableWriter::Num(run.sim_seconds, 1),
-             Hex(run.trace_hash)});
+             TableWriter::Hex(run.trace_hash)});
     }
     scaling.Print(std::cout);
     json.AddTable("scaling", scaling);
@@ -291,8 +282,8 @@ main(int argc, char** argv)
     }
     if (!trace_nonperturbing) {
         std::cerr << "FAIL: tracing perturbed the simulation (hash "
-                  << Hex(traced_a.trace_hash) << " vs "
-                  << Hex(base.trace_hash) << ", events "
+                  << TableWriter::Hex(traced_a.trace_hash) << " vs "
+                  << TableWriter::Hex(base.trace_hash) << ", events "
                   << traced_a.events << " vs " << base.events << ")\n";
     }
 

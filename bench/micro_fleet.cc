@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -131,14 +130,6 @@ RunFleet(const BenchConfig& bench)
     return result;
 }
 
-std::string
-Hex(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << value;
-    return os.str();
-}
-
 }  // namespace
 
 int
@@ -238,7 +229,8 @@ main(int argc, char** argv)
     std::cout << "\n";
     TableWriter determinism({"run 1 trace hash", "run 2 trace hash",
                              "deterministic"});
-    determinism.AddRow({Hex(a.trace_hash), Hex(b.trace_hash),
+    determinism.AddRow({TableWriter::Hex(a.trace_hash),
+                        TableWriter::Hex(b.trace_hash),
                         deterministic ? "yes" : "NO"});
     determinism.Print(std::cout);
     json.AddTable("determinism", determinism);

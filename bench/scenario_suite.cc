@@ -37,7 +37,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,14 +61,6 @@ using sol::workloads::ScenarioResult;
 namespace {
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
-
-std::string
-Hex(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << value;
-    return os.str();
-}
 
 std::string
 Join(const std::vector<std::string>& parts)
@@ -206,8 +197,9 @@ main(int argc, char** argv)
                 deterministic = false;
                 std::cerr << "FAIL: " << scenario.name
                           << " diverged at " << run.threads
-                          << " threads (hash " << Hex(run.fleet_trace_hash)
-                          << " vs " << Hex(base.fleet_trace_hash)
+                          << " threads (hash "
+                          << TableWriter::Hex(run.fleet_trace_hash) << " vs "
+                          << TableWriter::Hex(base.fleet_trace_hash)
                           << ", events " << run.total_events << " vs "
                           << base.total_events << ")\n";
             }
@@ -216,8 +208,8 @@ main(int argc, char** argv)
                 std::cerr << "FAIL: " << scenario.name
                           << " health timeline diverged at " << run.threads
                           << " threads (timeline "
-                          << Hex(run.timeline_hash) << " vs "
-                          << Hex(base.timeline_hash) << ", "
+                          << TableWriter::Hex(run.timeline_hash) << " vs "
+                          << TableWriter::Hex(base.timeline_hash) << ", "
                           << run.alerts.size() << " vs "
                           << base.alerts.size() << " alert events)\n";
             }
@@ -235,7 +227,8 @@ main(int argc, char** argv)
              std::to_string(base.Counter("epochs")),
              std::to_string(base.Counter("safeguard_triggers")),
              std::to_string(base.Counter("expands_denied")),
-             Hex(base.fleet_trace_hash), Hex(base.timeline_hash),
+             TableWriter::Hex(base.fleet_trace_hash),
+             TableWriter::Hex(base.timeline_hash),
              Join(base.FiredRules()) + (alerts_ok ? "" : " (WRONG)"),
              deterministic ? "identical" : "DIVERGED"});
 
@@ -254,7 +247,8 @@ main(int argc, char** argv)
              TableWriter::Num(sol::sim::ToMillis(base.shape.horizon), 0),
              std::to_string(scenario.base_seed), "1/2/8",
              deterministic ? "yes" : "NO",
-             Hex(base.fleet_trace_hash), Hex(base.driver_hash),
+             TableWriter::Hex(base.fleet_trace_hash),
+             TableWriter::Hex(base.driver_hash),
              std::to_string(base.total_events),
              TableWriter::Num(base.wall_seconds, 3)});
         json.AddTable("run", run_table);

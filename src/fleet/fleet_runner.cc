@@ -123,9 +123,6 @@ ShardedFleetRunner::WorkerMain(std::size_t worker_index)
             for (std::size_t s = worker_index; s < shards_.size();
                  s += workers_.size()) {
                 shards_[s]->RunUntil(horizon_);
-                if (merge_this_window_) {
-                    MergeShardWindowMetrics(s);
-                }
             }
         } catch (...) {
             // Capture for Run() to rethrow at the window boundary —
@@ -139,20 +136,6 @@ ShardedFleetRunner::WorkerMain(std::size_t worker_index)
         }
         done_barrier_.arrive_and_wait();
     }
-}
-
-void
-ShardedFleetRunner::MergeShardWindowMetrics(std::size_t shard_index)
-{
-    cluster::NodeShard& shard = *shards_[shard_index];
-    telemetry::MetricRegistry local;
-    cluster::WriteQueueGauges(telemetry::MetricScope(local, "queue"),
-                              shard.queue().stats());
-    local.SetGauge("num_nodes", static_cast<double>(shard.num_nodes()));
-    local.SetGauge("virtual_seconds",
-                   sim::ToSeconds(shard.queue().Now()));
-    window_metrics_.MergeFrom(local,
-                              "shard" + std::to_string(shard_index));
 }
 
 void
@@ -175,7 +158,7 @@ ShardedFleetRunner::Run(sim::Duration span)
             std::min(now_ + config_.window, end);
         horizon_ = horizon;
         ++window_index_;
-        merge_this_window_ =
+        const bool write_gauges =
             config_.metrics_every_n_windows != 0 &&
             window_index_ % config_.metrics_every_n_windows == 0;
         start_barrier_.arrive_and_wait();
@@ -201,12 +184,30 @@ ShardedFleetRunner::Run(sim::Duration span)
             fleet_trace_->Complete(
                 "window", "fleet", now_, horizon - now_,
                 {{"window", static_cast<std::int64_t>(window_index_)},
-                 {"merge", merge_this_window_ ? 1 : 0}});
+                 {"merge", write_gauges ? 1 : 0}});
+        }
+        if (write_gauges) {
+            WriteShardWindowGauges();
         }
         if (config_.health != nullptr) {
             SampleFleetHealth(horizon);
         }
         now_ = horizon;
+    }
+}
+
+void
+ShardedFleetRunner::WriteShardWindowGauges()
+{
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        const cluster::NodeShard& shard = *shards_[s];
+        telemetry::MetricScope scope(window_metrics_,
+                                     "shard" + std::to_string(s));
+        cluster::WriteQueueGauges(scope.Sub("queue"),
+                                  shard.queue().stats());
+        scope.SetGauge("num_nodes", static_cast<double>(shard.num_nodes()));
+        scope.SetGauge("virtual_seconds",
+                       sim::ToSeconds(shard.queue().Now()));
     }
 }
 

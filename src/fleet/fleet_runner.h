@@ -16,9 +16,11 @@
  *    stagger it would have had on a single serial shard.
  *  - W worker threads step the shards between barrier-synced
  *    virtual-time windows: every window, each worker advances its
- *    statically assigned shards to the shared horizon, merges its
- *    shards' health gauges into a telemetry::SharedMetricRegistry,
- *    and meets the others at the barrier before the next window opens.
+ *    statically assigned shards to the shared horizon and meets the
+ *    others at the barrier before the next window opens. Everything
+ *    observed about the fleet (health samples, alerts, per-shard
+ *    window gauges) is read at the barrier by the main thread while
+ *    the workers are parked.
  *  - Determinism: fleet nodes never exchange events (per-node RNG
  *    streams make them statistically independent), so a shard's event
  *    trace depends only on (base_seed, shard composition, window
@@ -79,8 +81,8 @@ struct FleetConfig {
     /**
      * Virtual-time window between barriers. All shards advance to the
      * same horizon each window; window boundaries are also where
-     * telemetry merges happen. Smaller windows tighten fleet-wide
-     * metric freshness; larger ones amortize barrier cost.
+     * telemetry is sampled. Smaller windows tighten fleet-wide metric
+     * freshness; larger ones amortize barrier cost.
      */
     sim::Duration window = sim::Millis(100);
 
@@ -99,10 +101,12 @@ struct FleetConfig {
     std::size_t queue_pending_limit = 0;
 
     /**
-     * Merge per-shard health gauges ("shard3.queue.executed", ...)
-     * into window_metrics() every Nth window boundary (0 = never).
-     * This is the concurrent-merge path: all workers aggregate into
-     * one SharedMetricRegistry at the same boundary.
+     * Write per-shard gauges ("shard3.queue.executed", ...,
+     * "shard3.num_nodes", "shard3.virtual_seconds") into
+     * window_metrics() at every Nth window barrier (0 = never). The
+     * main thread writes them with the workers parked, so the values
+     * are the shards' queue counters at that barrier, identical for
+     * any thread count.
      */
     std::size_t metrics_every_n_windows = 1;
 
@@ -223,11 +227,12 @@ class ShardedFleetRunner
      */
     void CollectFleetMetrics(telemetry::MetricRegistry& out);
 
-    /** Snapshot of the shard health gauges merged concurrently at
-     *  window boundaries (see FleetConfig::metrics_every_n_windows). */
-    telemetry::MetricRegistry WindowMetricsSnapshot() const
+    /** The shard gauges written at the last refreshing window barrier
+     *  (see FleetConfig::metrics_every_n_windows); valid between Run
+     *  calls. */
+    const telemetry::MetricRegistry& window_metrics() const
     {
-        return window_metrics_.Snapshot();
+        return window_metrics_;
     }
 
     std::size_t num_nodes() const { return config_.num_nodes; }
@@ -251,8 +256,9 @@ class ShardedFleetRunner
 
     void WorkerMain(std::size_t worker_index);
 
-    /** Merges one shard's health gauges into window_metrics_. */
-    void MergeShardWindowMetrics(std::size_t shard_index);
+    /** Writes every shard's window gauges into window_metrics_. Main
+     *  thread only, workers parked. */
+    void WriteShardWindowGauges();
 
     /** Appends the fleet's "fleet.*" health series at `at` and runs the
      *  alert rules. Main thread only, workers parked. */
@@ -271,10 +277,10 @@ class ShardedFleetRunner
     sim::TimePoint now_{0};
     sim::TimePoint horizon_{0};
     std::uint64_t window_index_ = 0;
-    bool merge_this_window_ = false;
     bool shutdown_ = false;
 
-    telemetry::SharedMetricRegistry window_metrics_;
+    /** Main-thread only (see WriteShardWindowGauges). */
+    telemetry::MetricRegistry window_metrics_;
 
     // First exception raised inside any shard this window; rethrown by
     // Run() at the window boundary. Once that happens the shards are at

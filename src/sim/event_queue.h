@@ -31,6 +31,7 @@
 #include <utility>
 
 #include "sim/event_arena.h"
+#include "sim/fnv.h"
 #include "sim/time.h"
 
 namespace sol::sim {
@@ -194,11 +195,9 @@ class EventQueue : public Clock
     void
     MixTrace(TimePoint when, std::uint64_t seq)
     {
-        constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-        trace_hash_ ^= static_cast<std::uint64_t>(when.count());
-        trace_hash_ *= kFnvPrime;
-        trace_hash_ ^= seq;
-        trace_hash_ *= kFnvPrime;
+        trace_hash_ = FnvMix(
+            FnvMix(trace_hash_, static_cast<std::uint64_t>(when.count())),
+            seq);
     }
 
     detail::EventArena arena_;
@@ -206,7 +205,7 @@ class EventQueue : public Clock
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t dropped_ = 0;
-    std::uint64_t trace_hash_ = 0xcbf29ce484222325ull;  // FNV offset basis.
+    std::uint64_t trace_hash_ = kFnvOffsetBasis;
     std::size_t pending_limit_ = 0;
 };
 

@@ -1,8 +1,6 @@
 #include "telemetry/alerting.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <ostream>
 #include <sstream>
@@ -371,21 +369,11 @@ bool
 HealthReportWriter::WriteFile(const std::string& name,
                               const std::string& serialized)
 {
-    std::string dir;
-    if (const char* env = std::getenv("SOL_BENCH_JSON_DIR")) {
-        dir = env;
-    }
-    if (dir == "-") {
-        return true;  // Explicitly disabled.
-    }
-    const std::string path = (dir.empty() ? std::string() : dir + "/") +
-                             "HEALTH_" + name + ".json";
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "warning: could not write " << path << "\n";
+    const std::string path =
+        WriteArtifactFile("HEALTH_" + name + ".json", serialized);
+    if (path.empty()) {
         return false;
     }
-    out << serialized;
     std::cout << "wrote " << path << "\n";
     return true;
 }

@@ -187,7 +187,8 @@ std::vector<AlertRule> DefaultFleetAlertRules();
  * Serializes a health report — timeline summary, alert transition log,
  * and per-SLO budget remaining — as deterministic integer-only JSON,
  * and writes it as HEALTH_<name>.json next to the BENCH/TRACE outputs
- * ($SOL_BENCH_JSON_DIR override, "-" disables; the BenchJson rules).
+ * (WriteArtifactFile's rule: $SOL_BENCH_JSON_DIR override, "-"
+ * disables).
  * Byte-identical across repeat runs and fleet thread counts, so CI
  * diffs it against committed goldens (tools/check_goldens.py).
  */
@@ -202,7 +203,7 @@ class HealthReportWriter
                                 const TimeSeriesStore& store,
                                 const AlertEngine& engine);
 
-    /** Writes HEALTH_<name>.json; false if the file could not open. */
+    /** Writes HEALTH_<name>.json; true if a file was written. */
     static bool WriteFile(const std::string& name,
                           const std::string& serialized);
 };

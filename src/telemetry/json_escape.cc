@@ -1,6 +1,9 @@
 #include "telemetry/json_escape.h"
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <iostream>
 
 namespace sol::telemetry {
 
@@ -35,6 +38,29 @@ JsonEscape(std::string_view text)
     out.reserve(text.size());
     AppendJsonEscaped(out, text);
     return out;
+}
+
+std::string
+WriteArtifactFile(const std::string& file_name, std::string_view contents)
+{
+    std::string path = file_name;
+    if (const char* dir = std::getenv("SOL_BENCH_JSON_DIR")) {
+        const std::string_view d(dir);
+        if (d == "-") {
+            return {};
+        }
+        if (!d.empty()) {
+            path = std::string(d) + (d.back() == '/' ? "" : "/") + path;
+        }
+    }
+    std::ofstream out(path, std::ios::trunc);
+    out << contents;
+    out.close();
+    if (!out) {
+        std::cerr << "warning: could not write " << path << "\n";
+        return {};
+    }
+    return path;
 }
 
 }  // namespace sol::telemetry

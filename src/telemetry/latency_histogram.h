@@ -13,8 +13,8 @@
  *
  * Design constraints, in order:
  *   - Mergeable: bucket-wise addition, so per-agent histograms roll up
- *     to node and fleet distributions exactly (MetricRegistry::MergeFrom
- *     merges histograms this way; see SharedMetricRegistry's rules).
+ *     to node and fleet distributions exactly, in any merge order
+ *     (MetricRegistry::MergeFrom merges histograms this way).
  *   - Deterministic: percentiles are integer bucket representatives
  *     computed only from the recorded values, so a simulated run's
  *     p99 is bit-reproducible and golden-testable.

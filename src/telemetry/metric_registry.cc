@@ -1,10 +1,10 @@
 #include "telemetry/metric_registry.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -13,12 +13,6 @@
 #include "telemetry/json_escape.h"
 
 namespace sol::telemetry {
-
-void
-MetricRegistry::Increment(const std::string& name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-}
 
 void
 MetricRegistry::SetCounter(const std::string& name, std::uint64_t value)
@@ -33,30 +27,10 @@ MetricRegistry::SetGauge(const std::string& name, double value)
 }
 
 void
-MetricRegistry::AppendSeries(const std::string& name, double x, double y)
-{
-    series_[name].push_back(SeriesPoint{x, y});
-}
-
-void
-MetricRegistry::RecordLatency(const std::string& name,
-                              std::uint64_t value_ns)
-{
-    histograms_[name].Record(value_ns);
-}
-
-void
 MetricRegistry::SetHistogram(const std::string& name,
                              const LatencyHistogram& histogram)
 {
     histograms_[name] = histogram;
-}
-
-void
-MetricRegistry::MergeHistogram(const std::string& name,
-                               const LatencyHistogram& histogram)
-{
-    histograms_[name].Merge(histogram);
 }
 
 std::uint64_t
@@ -79,47 +53,6 @@ MetricRegistry::Histogram(const std::string& name) const
     static const LatencyHistogram kEmpty;
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? kEmpty : it->second;
-}
-
-bool
-MetricRegistry::HasCounter(const std::string& name) const
-{
-    return counters_.count(name) > 0;
-}
-
-bool
-MetricRegistry::HasGauge(const std::string& name) const
-{
-    return gauges_.count(name) > 0;
-}
-
-bool
-MetricRegistry::HasSeries(const std::string& name) const
-{
-    return series_.count(name) > 0;
-}
-
-bool
-MetricRegistry::HasHistogram(const std::string& name) const
-{
-    return histograms_.count(name) > 0;
-}
-
-const std::vector<SeriesPoint>&
-MetricRegistry::Series(const std::string& name) const
-{
-    static const std::vector<SeriesPoint> kEmpty;
-    const auto it = series_.find(name);
-    return it == series_.end() ? kEmpty : it->second;
-}
-
-void
-MetricRegistry::PrintSeriesCsv(std::ostream& os,
-                               const std::string& name) const
-{
-    for (const auto& point : Series(name)) {
-        os << point.x << "," << point.y << "\n";
-    }
 }
 
 namespace {
@@ -178,18 +111,6 @@ MetricRegistry::WriteJson(std::ostream& os) const
            << "\": " << JsonNumber(value);
         first = false;
     }
-    os << "\n  },\n  \"series\": {";
-    first = true;
-    for (const auto& [name, points] : series_) {
-        os << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-           << "\": [";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            os << (i == 0 ? "" : ",") << "[" << JsonNumber(points[i].x)
-               << "," << JsonNumber(points[i].y) << "]";
-        }
-        os << "]";
-        first = false;
-    }
     os << "\n  },\n  \"histograms\": {";
     first = true;
     for (const auto& [name, histogram] : histograms_) {
@@ -217,22 +138,9 @@ MetricRegistry::MergeFrom(const MetricRegistry& other,
     for (const auto& [name, value] : other.gauges_) {
         gauges_[p + name] = value;
     }
-    for (const auto& [name, points] : other.series_) {
-        auto& dst = series_[p + name];
-        dst.insert(dst.end(), points.begin(), points.end());
-    }
     for (const auto& [name, histogram] : other.histograms_) {
         histograms_[p + name].Merge(histogram);
     }
-}
-
-void
-MetricRegistry::Clear()
-{
-    counters_.clear();
-    gauges_.clear();
-    series_.clear();
-    histograms_.clear();
 }
 
 TableWriter::TableWriter(std::vector<std::string> headers)
@@ -283,6 +191,21 @@ TableWriter::Num(double v, int precision)
 {
     std::ostringstream ss;
     ss << std::fixed << std::setprecision(precision) << v;
+    return ss.str();
+}
+
+std::string
+TableWriter::Exact(double v)
+{
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+std::string
+TableWriter::Hex(std::uint64_t v)
+{
+    std::ostringstream ss;
+    ss << "0x" << std::hex << v;
     return ss.str();
 }
 
@@ -354,21 +277,13 @@ BenchJson::Write(std::ostream& os) const
 bool
 BenchJson::WriteFile() const
 {
-    std::string dir;
-    if (const char* env = std::getenv("SOL_BENCH_JSON_DIR")) {
-        dir = env;
-    }
-    if (dir == "-") {
-        return true;  // Explicitly disabled.
-    }
-    const std::string path = (dir.empty() ? std::string() : dir + "/") +
-                             "BENCH_" + bench_name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "warning: could not write " << path << "\n";
+    std::ostringstream json;
+    Write(json);
+    const std::string path =
+        WriteArtifactFile("BENCH_" + bench_name_ + ".json", json.str());
+    if (path.empty()) {
         return false;
     }
-    Write(out);
     std::cout << "\nwrote " << path << "\n";
     return true;
 }

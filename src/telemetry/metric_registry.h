@@ -2,21 +2,21 @@
  * @file
  * Named metric collection for experiments and runtime introspection.
  *
- * Benchmarks accumulate counters/gauges/series/latency-histograms here
- * and render them as aligned tables (the rows the paper's figures
- * plot), CSV, or JSON. Multi-agent harnesses namespace their metrics
- * per agent/node with MetricScope, and every bench binary emits a
- * machine-readable BENCH_<name>.json alongside its human tables via
- * BenchJson so figure data stays diffable across PRs.
+ * Publishers flush counters, gauges and latency histograms here as
+ * absolute snapshots (SetCounter/SetGauge/SetHistogram, so a repeated
+ * flush is idempotent); benches render them as JSON. Multi-agent
+ * harnesses namespace their metrics per agent/node with MetricScope,
+ * and every bench binary emits a machine-readable BENCH_<name>.json
+ * alongside its human tables via BenchJson so figure data stays
+ * diffable across commits. A time series belongs in a BenchJson table
+ * (one row per sample) or, for health, in a telemetry::TimeSeriesStore.
  *
- * A MetricRegistry is single-threaded by design: every hot-path writer
- * owns its registry exclusively and snapshots flow upward through
- * MergeFrom at collection points (SharedMetricRegistry adds the one
- * lock the sharded fleet needs at window barriers). Lookups of unknown
- * names are non-mutating and well-defined: Counter/Gauge return 0,
- * Series returns an empty vector, Histogram returns an empty
- * histogram; use HasCounter/HasGauge/HasSeries/HasHistogram to
- * distinguish "absent" from "zero".
+ * A MetricRegistry is single-threaded: every writer owns its registry
+ * exclusively and snapshots flow upward through MergeFrom at
+ * collection points (the sharded fleet writes its window gauges on the
+ * main thread, workers parked). Lookups of unknown names are
+ * non-mutating and well-defined: Counter/Gauge return 0 and Histogram
+ * returns an empty histogram.
  */
 #pragma once
 
@@ -27,91 +27,47 @@
 #include <utility>
 #include <vector>
 
-#include "core/sync.h"
-#include "core/thread_annotations.h"
 #include "telemetry/latency_histogram.h"
 
 namespace sol::telemetry {
 
-/** One (x, y) point in a reported series. */
-struct SeriesPoint {
-    double x;
-    double y;
-};
-
-/** Registry of counters, gauges, series, and latency histograms keyed
- *  by name. */
+/** Registry of counters, gauges, and latency histograms keyed by
+ *  name. */
 class MetricRegistry
 {
   public:
-    /** Adds delta to a monotonically increasing counter. */
-    void Increment(const std::string& name, std::uint64_t delta = 1);
-
     /**
-     * Sets a counter to an absolute value. For publishers that keep
-     * their own authoritative tally (e.g. atomic hot-path counters)
-     * and flush snapshots into the registry: unlike Increment, a
-     * repeated flush is idempotent.
+     * Sets a counter to an absolute value. Publishers keep their own
+     * authoritative tally (e.g. atomic hot-path counters) and flush
+     * snapshots into the registry, so a repeated flush is idempotent.
      */
     void SetCounter(const std::string& name, std::uint64_t value);
 
     /** Sets a point-in-time value. */
     void SetGauge(const std::string& name, double value);
 
-    /** Appends a point to a named series. */
-    void AppendSeries(const std::string& name, double x, double y);
-
-    /** Adds one nanosecond sample to a named latency histogram. */
-    void RecordLatency(const std::string& name, std::uint64_t value_ns);
-
     /** Replaces a histogram with a snapshot (idempotent flush, the
      *  SetCounter idiom for distribution-owning publishers). */
     void SetHistogram(const std::string& name,
                       const LatencyHistogram& histogram);
 
-    /** Bucket-wise adds a histogram into a named one. */
-    void MergeHistogram(const std::string& name,
-                        const LatencyHistogram& histogram);
-
     std::uint64_t Counter(const std::string& name) const;
     double Gauge(const std::string& name) const;
-
-    /**
-     * Series points for `name`. An unknown name returns a reference to
-     * a shared empty vector (never inserts); this is part of the API
-     * contract, not an accident — probing a series never mutates the
-     * registry.
-     */
-    const std::vector<SeriesPoint>& Series(const std::string& name) const;
 
     /** Histogram for `name`; unknown names return a shared empty
      *  histogram (never inserts). */
     const LatencyHistogram& Histogram(const std::string& name) const;
 
-    bool HasCounter(const std::string& name) const;
-    bool HasGauge(const std::string& name) const;
-    bool HasSeries(const std::string& name) const;
-    bool HasHistogram(const std::string& name) const;
-
-    /**
-     * Writes one series as CSV rows (x,y). An unknown name writes
-     * nothing — no header, no error — matching Series()'s empty-result
-     * contract.
-     */
-    void PrintSeriesCsv(std::ostream& os, const std::string& name) const;
-
-    /** Writes every counter, gauge, series, and histogram snapshot as
-     *  one JSON object (histograms as integer-ns count/sum/min/max/
-     *  p50/p90/p99/p999). */
+    /** Writes every counter, gauge, and histogram snapshot as one JSON
+     *  object (histograms as integer-ns count/sum/min/max/p50/p90/p99/
+     *  p999). */
     void WriteJson(std::ostream& os) const;
 
     /**
      * Merges another registry's metrics under `prefix + "."`: counters
-     * add, gauges overwrite, series append, histograms bucket-wise add.
+     * add, gauges overwrite, histograms bucket-wise add.
      */
     void MergeFrom(const MetricRegistry& other, const std::string& prefix);
-
-    void Clear();
 
     const std::map<std::string, std::uint64_t>& counters() const
     {
@@ -126,71 +82,7 @@ class MetricRegistry
   private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
-    std::map<std::string, std::vector<SeriesPoint>> series_;
     std::map<std::string, LatencyHistogram> histograms_;
-};
-
-/**
- * Mutex-guarded MetricRegistry aggregation point for concurrent
- * producers.
- *
- * MetricRegistry itself is single-threaded by design (every hot-path
- * writer owns its registry exclusively). A sharded fleet run breaks
- * that assumption exactly once per virtual-time window: W worker
- * threads finish their shards at a barrier and each merges its shards'
- * metrics into one fleet-wide aggregate. SharedMetricRegistry is that
- * aggregation point — writers pay the lock only at window boundaries,
- * never per event, and readers take a consistent snapshot by value.
- *
- * Merge order across threads is not deterministic, so only
- * order-insensitive operations are exposed: counter merges add,
- * gauge/series merges overwrite *namespaced* keys (each producer owns
- * its prefix, so concurrent merges never overwrite each other's keys).
- *
- * Histogram merge rules: histograms merge by bucket-wise addition
- * (count/sum add, min/max extend), which is commutative and
- * associative — so unlike gauges, two producers *may* merge into the
- * same histogram key and the result is exact regardless of merge
- * order. Merging is equivalent to recording the concatenated samples.
- */
-class SharedMetricRegistry
-{
-  public:
-    /** Merges `other` under `prefix + "."` (thread-safe). */
-    void
-    MergeFrom(const MetricRegistry& other, const std::string& prefix)
-    {
-        core::MutexLock lock(mutex_);
-        registry_.MergeFrom(other, prefix);
-    }
-
-    /** Adds delta to a counter (thread-safe). */
-    void
-    Increment(const std::string& name, std::uint64_t delta = 1)
-    {
-        core::MutexLock lock(mutex_);
-        registry_.Increment(name, delta);
-    }
-
-    /** Copies the current aggregate out (thread-safe). */
-    MetricRegistry
-    Snapshot() const
-    {
-        core::MutexLock lock(mutex_);
-        return registry_;
-    }
-
-    /** Drops every metric (thread-safe). */
-    void
-    Clear()
-    {
-        core::MutexLock lock(mutex_);
-        registry_.Clear();
-    }
-
-  private:
-    mutable core::Mutex mutex_;
-    MetricRegistry registry_ SOL_GUARDED_BY(mutex_);
 };
 
 /**
@@ -209,12 +101,6 @@ class MetricScope
     }
 
     void
-    Increment(const std::string& name, std::uint64_t delta = 1)
-    {
-        registry_.Increment(Key(name), delta);
-    }
-
-    void
     SetCounter(const std::string& name, std::uint64_t value)
     {
         registry_.SetCounter(Key(name), value);
@@ -227,29 +113,10 @@ class MetricScope
     }
 
     void
-    AppendSeries(const std::string& name, double x, double y)
-    {
-        registry_.AppendSeries(Key(name), x, y);
-    }
-
-    void
-    RecordLatency(const std::string& name, std::uint64_t value_ns)
-    {
-        registry_.RecordLatency(Key(name), value_ns);
-    }
-
-    void
     SetHistogram(const std::string& name,
                  const LatencyHistogram& histogram)
     {
         registry_.SetHistogram(Key(name), histogram);
-    }
-
-    void
-    MergeHistogram(const std::string& name,
-                   const LatencyHistogram& histogram)
-    {
-        registry_.MergeHistogram(Key(name), histogram);
     }
 
     std::uint64_t
@@ -270,9 +137,6 @@ class MetricScope
     {
         return MetricScope(registry_, Key(prefix));
     }
-
-    const std::string& prefix() const { return prefix_; }
-    MetricRegistry& registry() { return registry_; }
 
   private:
     std::string
@@ -303,6 +167,14 @@ class TableWriter
 
     /** Formats a double with fixed precision. */
     static std::string Num(double v, int precision = 3);
+
+    /** Formats a double as the shortest text that parses back to
+     *  exactly `v` (trace samples a BenchJson table must not round). */
+    static std::string Exact(double v);
+
+    /** Formats a 64-bit fingerprint as "0x" + lowercase hex (BenchJson
+     *  keeps such cells as exact strings). */
+    static std::string Hex(std::uint64_t v);
 
     const std::vector<std::string>& headers() const { return headers_; }
     const std::vector<std::vector<std::string>>& rows() const

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "sim/fnv.h"
+
 namespace sol::telemetry {
 
 TimeSeries::TimeSeries(std::size_t capacity)
@@ -127,15 +129,13 @@ TimeSeriesStore::VisitSeries(
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
+/** Folds a 64-bit value's bytes, least significant first (byte-wise
+ *  FNV-1a, independent of host endianness). */
 void
-FnvMix(std::uint64_t& hash, std::uint64_t value)
+FnvMixLittleEndian(std::uint64_t& hash, std::uint64_t value)
 {
     for (int i = 0; i < 8; ++i) {
-        hash ^= (value >> (i * 8)) & 0xff;
-        hash *= kFnvPrime;
+        hash = sim::FnvMix(hash, (value >> (i * 8)) & 0xff);
     }
 }
 
@@ -144,17 +144,15 @@ FnvMix(std::uint64_t& hash, std::uint64_t value)
 std::uint64_t
 TimeSeriesStore::timeline_hash() const
 {
-    std::uint64_t hash = kFnvOffset;
+    std::uint64_t hash = sim::kFnvOffsetBasis;
     for (const auto& [name, series] : series_) {
-        for (const char c : name) {
-            hash ^= static_cast<unsigned char>(c);
-            hash *= kFnvPrime;
-        }
-        FnvMix(hash, series.total_appended());
+        hash = sim::FnvMixBytes(hash, name);
+        FnvMixLittleEndian(hash, series.total_appended());
         for (std::size_t i = 0; i < series.size(); ++i) {
             const TimeSample sample = series.at(i);
-            FnvMix(hash, static_cast<std::uint64_t>(sample.at.count()));
-            FnvMix(hash, static_cast<std::uint64_t>(sample.value));
+            FnvMixLittleEndian(hash,
+                               static_cast<std::uint64_t>(sample.at.count()));
+            FnvMixLittleEndian(hash, static_cast<std::uint64_t>(sample.value));
         }
     }
     return hash;

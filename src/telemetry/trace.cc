@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "telemetry/json_escape.h"
@@ -82,26 +80,6 @@ AppendEventJson(std::string& out, const TraceEvent& event, int tid)
         out += '}';
     }
     out += '}';
-}
-
-/** Resolves the trace output directory; returns false when disabled. */
-bool
-ResolveTraceDir(std::string& dir)
-{
-    const char* env = std::getenv("SOL_TRACE_DIR");
-    if (env == nullptr) {
-        env = std::getenv("SOL_BENCH_JSON_DIR");
-    }
-    if (env != nullptr) {
-        if (std::string_view(env) == "-") {
-            return false;
-        }
-        dir = env;
-        if (!dir.empty() && dir.back() != '/') {
-            dir += '/';
-        }
-    }
-    return true;
 }
 
 }  // namespace
@@ -317,17 +295,8 @@ bool
 ChromeTraceWriter::WriteFile(const std::string& name,
                              const std::string& serialized)
 {
-    std::string dir;
-    if (!ResolveTraceDir(dir)) {
-        return false;
-    }
-    const std::string path = dir + "TRACE_" + name + ".json";
-    std::ofstream file(path, std::ios::trunc);
-    if (!file) {
-        return false;
-    }
-    file << serialized;
-    return static_cast<bool>(file);
+    return !WriteArtifactFile("TRACE_" + name + ".json", serialized)
+                .empty();
 }
 
 }  // namespace sol::telemetry::trace

@@ -395,10 +395,10 @@ class ChromeTraceWriter
     static std::string ToString(TraceSession& session);
 
     /**
-     * Drains `session` into `TRACE_<name>.json` in the directory named
-     * by $SOL_TRACE_DIR (falling back to $SOL_BENCH_JSON_DIR so CI
-     * artifacts co-locate, then to the working directory; "-" disables
-     * entirely). Returns true if a file was written.
+     * Drains `session` into `TRACE_<name>.json` beside the BENCH and
+     * HEALTH files (WriteArtifactFile's rule: $SOL_BENCH_JSON_DIR or
+     * the working directory, "-" disables). Returns true if a file was
+     * written.
      */
     static bool WriteFile(TraceSession& session, const std::string& name);
 

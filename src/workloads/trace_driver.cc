@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/fnv.h"
+
 namespace sol::workloads {
 
 namespace {
@@ -34,9 +36,7 @@ Clamp01(double value)
 void
 MixHash(std::uint64_t& hash, std::uint64_t word)
 {
-    constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-    hash ^= word;
-    hash *= kFnvPrime;
+    hash = sim::FnvMix(hash, word);
 }
 
 std::uint64_t
@@ -79,7 +79,7 @@ TraceDriver::TraceDriver(TraceDriverConfig config)
 
     // Fingerprint everything behavior depends on, in declaration
     // order, each continuous value as its quantum count.
-    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV offset basis.
+    std::uint64_t hash = sim::kFnvOffsetBasis;
     MixHash(hash, config_.seed);
     MixHash(hash, config_.num_tenants);
     MixHash(hash, QuantumBits(config_.zipf_skew, kCurveQuantum));

@@ -3,15 +3,15 @@
  * Tests for the sharded parallel fleet executor: bit-determinism
  * across thread counts, shard-partition edge cases (empty shard,
  * single-node shard), mid-run node drain, heterogeneous synthetic
- * schedules, and the concurrent window-boundary metric merge (this
+ * schedules, and the per-shard gauges written at window barriers (this
  * suite runs under TSan in CI — see .github/workflows/ci.yml).
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <thread>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "cluster/node_shard.h"
@@ -295,26 +295,87 @@ TEST(ShardedFleetRunner, MidRunNodeDrainIsDeterministic)
     EXPECT_EQ(b.drained_epochs_frozen, 0u);
 }
 
-// ---- Window-boundary metrics ---------------------------------------------
+// ---- Window gauges (FleetConfig::metrics_every_n_windows) ---------------
 
-TEST(ShardedFleetRunner, ConcurrentWindowMergePopulatesShardGauges)
+/** What a refreshing barrier must write: every shard's queue counters,
+ *  node count and virtual time as they stand right now. */
+std::map<std::string, double>
+BarrierShardGauges(ShardedFleetRunner& runner)
 {
-    FleetConfig config = SmallFleet(4, 4);
-    config.metrics_every_n_windows = 1;
-    ShardedFleetRunner runner(config);
-    runner.Run(sim::Seconds(1));
-
-    const telemetry::MetricRegistry metrics =
-        runner.WindowMetricsSnapshot();
+    std::map<std::string, double> gauges;
     for (std::size_t s = 0; s < runner.num_shards(); ++s) {
-        const std::string prefix = "shard" + std::to_string(s);
-        EXPECT_GT(metrics.Gauge(prefix + ".queue.executed"), 0.0)
-            << prefix;
-        EXPECT_EQ(metrics.Gauge(prefix + ".virtual_seconds"), 1.0)
-            << prefix;
-        EXPECT_EQ(metrics.Gauge(prefix + ".num_nodes"), 1.0) << prefix;
+        const std::string p = "shard" + std::to_string(s) + ".";
+        const NodeShard& shard = runner.shard(s);
+        const sim::EventQueueStats q = shard.queue().stats();
+        gauges[p + "queue.executed"] = static_cast<double>(q.executed);
+        gauges[p + "queue.scheduled"] = static_cast<double>(q.scheduled);
+        gauges[p + "queue.cancelled"] = static_cast<double>(q.cancelled);
+        gauges[p + "queue.dropped"] = static_cast<double>(q.dropped);
+        gauges[p + "queue.pending"] = static_cast<double>(q.pending);
+        gauges[p + "queue.peak_pending"] =
+            static_cast<double>(q.peak_pending);
+        gauges[p + "queue.arena_capacity"] =
+            static_cast<double>(q.arena_capacity);
+        gauges[p + "num_nodes"] = static_cast<double>(shard.num_nodes());
+        gauges[p + "virtual_seconds"] = sim::ToSeconds(shard.queue().Now());
+    }
+    return gauges;
+}
+
+struct WindowGauges {
+    /** window_metrics().gauges() after each of four windows. */
+    std::vector<std::map<std::string, double>> snapshots;
+    /** Whether that snapshot equals the barrier's shard queues. */
+    std::vector<bool> fresh;
+};
+
+WindowGauges
+RunFourWindows(std::size_t threads, std::size_t every_n)
+{
+    FleetConfig config = SmallFleet(8, threads);
+    config.metrics_every_n_windows = every_n;
+    ShardedFleetRunner runner(config);
+    WindowGauges out;
+    for (int w = 0; w < 4; ++w) {
+        runner.Run(config.window);
+        out.snapshots.push_back(runner.window_metrics().gauges());
+        out.fresh.push_back(out.snapshots.back() ==
+                            BarrierShardGauges(runner));
     }
     runner.Stop();
+    return out;
+}
+
+TEST(ShardedFleetRunner, WindowGaugesMatchShardQueuesAtEveryNthBarrier)
+{
+    // = 1: every barrier rewrites every shard's gauges.
+    const WindowGauges every = RunFourWindows(1, 1);
+    for (int w = 0; w < 4; ++w) {
+        EXPECT_TRUE(every.fresh[w]) << "window " << w + 1;
+    }
+    const std::map<std::string, double>& last = every.snapshots.back();
+    EXPECT_EQ(last.size(), 8u * 9u);
+    EXPECT_GT(last.at("shard7.queue.executed"), 0.0);
+    EXPECT_EQ(last.at("shard7.num_nodes"), 1.0);
+    EXPECT_DOUBLE_EQ(last.at("shard7.virtual_seconds"), 0.2);
+
+    // The thread count is execution policy: same gauges, same windows.
+    EXPECT_EQ(RunFourWindows(2, 1).snapshots, every.snapshots);
+    EXPECT_EQ(RunFourWindows(8, 1).snapshots, every.snapshots);
+
+    // = 0: no barrier writes anything.
+    for (const auto& snapshot : RunFourWindows(2, 0).snapshots) {
+        EXPECT_TRUE(snapshot.empty());
+    }
+
+    // = 2: only even windows refresh; odd ones keep the last write.
+    const WindowGauges even = RunFourWindows(2, 2);
+    EXPECT_TRUE(even.snapshots[0].empty());
+    EXPECT_TRUE(even.fresh[1]);
+    EXPECT_FALSE(even.fresh[2]);
+    EXPECT_EQ(even.snapshots[2], even.snapshots[1]);
+    EXPECT_TRUE(even.fresh[3]);
+    EXPECT_EQ(even.snapshots[3], every.snapshots[3]);
 }
 
 TEST(ShardedFleetRunner, CollectFleetMetricsAggregatesAcrossShards)
@@ -348,50 +409,6 @@ TEST(ShardedFleetRunner, CleanUpAllSweepsEveryShard)
         EXPECT_EQ(node.node().GrantedCores(node.elastic_vm()), 0);
     }
     runner.Stop();
-}
-
-// ---- SharedMetricRegistry under real contention --------------------------
-
-TEST(SharedMetricRegistry, ConcurrentMergesFromManyThreadsAddUp)
-{
-    constexpr int kThreads = 8;
-    constexpr int kMergesPerThread = 200;
-
-    telemetry::SharedMetricRegistry shared;
-    std::atomic<int> ready{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&shared, &ready, t] {
-            ready.fetch_add(1);
-            while (ready.load() < kThreads) {
-                // Spin so every thread merges concurrently.
-            }
-            telemetry::MetricRegistry local;
-            local.Increment("merges");
-            local.SetGauge("last_value", static_cast<double>(t));
-            for (int i = 0; i < kMergesPerThread; ++i) {
-                // Counters accumulate under a shared key; gauges land
-                // in each producer's own namespace.
-                shared.MergeFrom(local, "producer" + std::to_string(t));
-                shared.Increment("total_merges");
-            }
-        });
-    }
-    for (std::thread& thread : threads) {
-        thread.join();
-    }
-
-    const telemetry::MetricRegistry snapshot = shared.Snapshot();
-    EXPECT_EQ(snapshot.Counter("total_merges"),
-              static_cast<std::uint64_t>(kThreads * kMergesPerThread));
-    for (int t = 0; t < kThreads; ++t) {
-        const std::string prefix = "producer" + std::to_string(t);
-        EXPECT_EQ(snapshot.Counter(prefix + ".merges"),
-                  static_cast<std::uint64_t>(kMergesPerThread));
-        EXPECT_EQ(snapshot.Gauge(prefix + ".last_value"),
-                  static_cast<double>(t));
-    }
 }
 
 }  // namespace

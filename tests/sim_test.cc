@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/fnv.h"
 #include "sim/rng.h"
 #include "sim/samplers.h"
 #include "sim/time.h"
@@ -199,6 +200,27 @@ TEST(RngTest, ForkedStreamsIndependent)
         }
     }
     EXPECT_LT(same, 3);
+}
+
+// ---------------------------------------------------------------------------
+// FNV-1a
+// ---------------------------------------------------------------------------
+
+TEST(FnvTest, MatchesTheReferenceVectors)
+{
+    // Published FNV-1a 64-bit test vectors.
+    EXPECT_EQ(FnvMixBytes(kFnvOffsetBasis, ""), kFnvOffsetBasis);
+    EXPECT_EQ(FnvMixBytes(kFnvOffsetBasis, "a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(FnvMixBytes(kFnvOffsetBasis, "foobar"),
+              0x85944171f73967e8ull);
+}
+
+TEST(FnvTest, WordMixIsOneStepPerWord)
+{
+    // A byte-sized word folds exactly like that byte.
+    EXPECT_EQ(FnvMix(kFnvOffsetBasis, 'a'), 0xaf63dc4c8601ec8cull);
+    EXPECT_NE(FnvMix(FnvMix(kFnvOffsetBasis, 1), 2),
+              FnvMix(FnvMix(kFnvOffsetBasis, 2), 1));
 }
 
 // ---------------------------------------------------------------------------

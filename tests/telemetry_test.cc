@@ -7,11 +7,15 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "telemetry/alerting.h"
+#include "telemetry/json_escape.h"
 #include "telemetry/latency_histogram.h"
 #include "telemetry/metric_registry.h"
 #include "telemetry/online_stats.h"
@@ -231,11 +235,20 @@ TEST(WindowPercentileTest, ResetClears)
 
 TEST(MetricRegistryTest, CountersAccumulate)
 {
-    MetricRegistry registry;
-    registry.Increment("a");
-    registry.Increment("a", 4);
-    EXPECT_EQ(registry.Counter("a"), 5u);
-    EXPECT_EQ(registry.Counter("missing"), 0u);
+    // A publisher flushes its absolute tally (a re-flush is
+    // idempotent); merging registries adds tallies up.
+    MetricRegistry node;
+    node.SetCounter("a", 1);
+    node.SetCounter("a", 5);
+    EXPECT_EQ(node.Counter("a"), 5u);
+
+    MetricRegistry fleet;
+    fleet.MergeFrom(node, "");
+    fleet.MergeFrom(node, "");
+    EXPECT_EQ(fleet.Counter("a"), 10u);
+    // An unknown name reads as zero and is not materialized.
+    EXPECT_EQ(fleet.Counter("missing"), 0u);
+    EXPECT_EQ(fleet.counters().count("missing"), 0u);
 }
 
 TEST(MetricRegistryTest, GaugesOverwrite)
@@ -244,40 +257,8 @@ TEST(MetricRegistryTest, GaugesOverwrite)
     registry.SetGauge("g", 1.5);
     registry.SetGauge("g", 2.5);
     EXPECT_DOUBLE_EQ(registry.Gauge("g"), 2.5);
-    EXPECT_TRUE(registry.HasGauge("g"));
-    EXPECT_FALSE(registry.HasGauge("missing"));
-}
-
-TEST(MetricRegistryTest, SeriesAppend)
-{
-    MetricRegistry registry;
-    registry.AppendSeries("s", 1.0, 10.0);
-    registry.AppendSeries("s", 2.0, 20.0);
-    const auto& series = registry.Series("s");
-    ASSERT_EQ(series.size(), 2u);
-    EXPECT_DOUBLE_EQ(series[1].y, 20.0);
-    EXPECT_TRUE(registry.Series("missing").empty());
-}
-
-TEST(MetricRegistryTest, ClearRemovesEverything)
-{
-    MetricRegistry registry;
-    registry.Increment("c");
-    registry.SetGauge("g", 1.0);
-    registry.AppendSeries("s", 0.0, 0.0);
-    registry.Clear();
-    EXPECT_EQ(registry.Counter("c"), 0u);
-    EXPECT_FALSE(registry.HasGauge("g"));
-    EXPECT_TRUE(registry.Series("s").empty());
-}
-
-TEST(MetricRegistryTest, CsvOutput)
-{
-    MetricRegistry registry;
-    registry.AppendSeries("s", 1.0, 2.0);
-    std::ostringstream out;
-    registry.PrintSeriesCsv(out, "s");
-    EXPECT_EQ(out.str(), "1,2\n");
+    EXPECT_DOUBLE_EQ(registry.Gauge("missing"), 0.0);
+    EXPECT_EQ(registry.gauges().count("missing"), 0u);
 }
 
 TEST(TableWriterTest, RejectsMismatchedRow)
@@ -306,6 +287,30 @@ TEST(TableWriterTest, NumFormatsPrecision)
     EXPECT_EQ(TableWriter::Num(2.0, 0), "2");
 }
 
+TEST(TableWriterTest, ExactRoundTrips)
+{
+    EXPECT_EQ(TableWriter::Exact(2.0), "2");
+    EXPECT_EQ(TableWriter::Exact(0.1), "0.1");
+    const double third = 1.0 / 3.0;
+    EXPECT_EQ(std::stod(TableWriter::Exact(third)), third);
+}
+
+TEST(TableWriterTest, HexKeepsFingerprintsExact)
+{
+    EXPECT_EQ(TableWriter::Hex(0), "0x0");
+    EXPECT_EQ(TableWriter::Hex(0xaf63dc4c8601ec8cull),
+              "0xaf63dc4c8601ec8c");
+    // BenchJson keeps a hex cell as a string: a double would round it.
+    TableWriter table({"hash"});
+    table.AddRow({TableWriter::Hex(0xffffffffffffffffull)});
+    BenchJson json("hex");
+    json.AddTable("t", table);
+    std::ostringstream out;
+    json.Write(out);
+    EXPECT_NE(out.str().find("[\"0xffffffffffffffff\"]"),
+              std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // MetricScope namespacing and registry merging (multi-agent accounting)
 // ---------------------------------------------------------------------------
@@ -314,13 +319,15 @@ TEST(MetricScopeTest, PrefixesEveryMetricKind)
 {
     MetricRegistry registry;
     MetricScope scope(registry, "node0");
-    scope.Increment("epochs", 3);
+    scope.SetCounter("epochs", 3);
     scope.SetGauge("p99", 1.5);
-    scope.AppendSeries("trace", 1.0, 2.0);
+    LatencyHistogram epoch_ns;
+    epoch_ns.Record(7);
+    scope.SetHistogram("epoch_ns", epoch_ns);
 
     EXPECT_EQ(registry.Counter("node0.epochs"), 3u);
     EXPECT_EQ(registry.Gauge("node0.p99"), 1.5);
-    ASSERT_EQ(registry.Series("node0.trace").size(), 1u);
+    EXPECT_EQ(registry.Histogram("node0.epoch_ns").count(), 1u);
     EXPECT_EQ(scope.Counter("epochs"), 3u);
     EXPECT_EQ(scope.Gauge("p99"), 1.5);
 }
@@ -329,23 +336,21 @@ TEST(MetricScopeTest, SubScopesNest)
 {
     MetricRegistry registry;
     MetricScope agent = MetricScope(registry, "node1").Sub("harvest");
-    agent.Increment("denied");
+    agent.SetCounter("denied", 1);
     EXPECT_EQ(registry.Counter("node1.harvest.denied"), 1u);
 }
 
 TEST(MetricRegistryTest, MergeFromNamespacesAndAccumulates)
 {
     MetricRegistry node;
-    node.Increment("epochs", 5);
+    node.SetCounter("epochs", 5);
     node.SetGauge("p99", 2.0);
-    node.AppendSeries("trace", 0.0, 1.0);
 
     MetricRegistry fleet;
     fleet.MergeFrom(node, "node3");
     fleet.MergeFrom(node, "node3");  // Counters accumulate on re-merge.
     EXPECT_EQ(fleet.Counter("node3.epochs"), 10u);
     EXPECT_EQ(fleet.Gauge("node3.p99"), 2.0);
-    EXPECT_EQ(fleet.Series("node3.trace").size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,15 +360,14 @@ TEST(MetricRegistryTest, MergeFromNamespacesAndAccumulates)
 TEST(MetricRegistryTest, WriteJsonEmitsAllMetricKinds)
 {
     MetricRegistry registry;
-    registry.Increment("runs", 2);
+    registry.SetCounter("runs", 2);
     registry.SetGauge("speedup", 1.25);
-    registry.AppendSeries("curve", 1.0, 2.0);
     std::ostringstream out;
     registry.WriteJson(out);
     const std::string json = out.str();
     EXPECT_NE(json.find("\"runs\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"speedup\": 1.25"), std::string::npos);
-    EXPECT_NE(json.find("[[1,2]]"), std::string::npos);
+    EXPECT_NE(json.find("\"histograms\": {"), std::string::npos);
 }
 
 TEST(BenchJsonTest, TablesSerializeWithNumericCells)
@@ -388,7 +392,7 @@ TEST(BenchJsonTest, TablesSerializeWithNumericCells)
 TEST(BenchJsonTest, MetricsSectionsEmbedRegistries)
 {
     MetricRegistry registry;
-    registry.Increment("conflicts", 4);
+    registry.SetCounter("conflicts", 4);
     BenchJson json("fig_test");
     json.AddMetrics("fleet", registry);
     std::ostringstream out;
@@ -504,58 +508,35 @@ TEST(SharedLatencyHistogramTest, RecordsThroughTheLock)
 // MetricRegistry: histograms + the unknown-name contract
 // ---------------------------------------------------------------------------
 
-TEST(MetricRegistryTest, HasCounterAndHasSeriesDistinguishMissing)
-{
-    MetricRegistry registry;
-    registry.Increment("present", 0);  // Zero-valued but registered.
-    registry.AppendSeries("curve", 1.0, 2.0);
-    EXPECT_TRUE(registry.HasCounter("present"));
-    EXPECT_FALSE(registry.HasCounter("absent"));
-    EXPECT_TRUE(registry.HasSeries("curve"));
-    EXPECT_FALSE(registry.HasSeries("absent"));
-    // The unknown-name reads themselves return zero/empty...
-    EXPECT_EQ(registry.Counter("absent"), 0u);
-    EXPECT_TRUE(registry.Series("absent").empty());
-    // ...and never materialize the name as a side effect.
-    EXPECT_FALSE(registry.HasCounter("absent"));
-    EXPECT_FALSE(registry.HasSeries("absent"));
-}
-
-TEST(MetricRegistryTest, PrintSeriesCsvUnknownNameWritesNothing)
-{
-    MetricRegistry registry;
-    std::ostringstream out;
-    registry.PrintSeriesCsv(out, "no_such_series");
-    EXPECT_TRUE(out.str().empty());
-    EXPECT_FALSE(registry.HasSeries("no_such_series"));
-}
-
 TEST(MetricRegistryTest, HistogramsRecordMergeAndSnapshot)
 {
+    LatencyHistogram recorded;
+    recorded.Record(1'000);
+    recorded.Record(3'000);
     MetricRegistry registry;
-    registry.RecordLatency("epoch_ns", 1'000);
-    registry.RecordLatency("epoch_ns", 3'000);
-    EXPECT_TRUE(registry.HasHistogram("epoch_ns"));
-    EXPECT_FALSE(registry.HasHistogram("absent"));
+    registry.SetHistogram("epoch_ns", recorded);
     EXPECT_EQ(registry.Histogram("epoch_ns").count(), 2u);
+    EXPECT_EQ(registry.Histogram("epoch_ns").Snapshot().max_ns,
+              recorded.Snapshot().max_ns);
+    // An unknown name reads as empty and is not materialized.
     EXPECT_TRUE(registry.Histogram("absent").empty());
-
-    LatencyHistogram more;
-    more.Record(5'000);
-    registry.MergeHistogram("epoch_ns", more);
-    EXPECT_EQ(registry.Histogram("epoch_ns").count(), 3u);
+    EXPECT_EQ(registry.histograms().count("absent"), 0u);
 
     // SetHistogram overwrites (the idempotent-flush idiom).
+    LatencyHistogram more;
+    more.Record(5'000);
     registry.SetHistogram("epoch_ns", more);
     EXPECT_EQ(registry.Histogram("epoch_ns").count(), 1u);
 }
 
 TEST(MetricRegistryTest, WriteJsonEmitsHistogramPercentiles)
 {
-    MetricRegistry registry;
+    LatencyHistogram admit;
     for (std::uint64_t v = 1; v <= 100; ++v) {
-        registry.RecordLatency("admit_ns", v * 1'000);
+        admit.Record(v * 1'000);
     }
+    MetricRegistry registry;
+    registry.SetHistogram("admit_ns", admit);
     std::ostringstream out;
     registry.WriteJson(out);
     const std::string json = out.str();
@@ -568,10 +549,14 @@ TEST(MetricRegistryTest, WriteJsonEmitsHistogramPercentiles)
 
 TEST(MetricRegistryTest, MergeFromMergesHistogramsBucketwise)
 {
+    LatencyHistogram node_epochs;
+    node_epochs.Record(2'000);
     MetricRegistry node;
-    node.RecordLatency("epoch_ns", 2'000);
+    node.SetHistogram("epoch_ns", node_epochs);
+    LatencyHistogram fleet_epochs;
+    fleet_epochs.Record(1'000);
     MetricRegistry fleet;
-    fleet.RecordLatency("node0.epoch_ns", 1'000);
+    fleet.SetHistogram("node0.epoch_ns", fleet_epochs);
     fleet.MergeFrom(node, "node0");
     EXPECT_EQ(fleet.Histogram("node0.epoch_ns").count(), 2u);
     EXPECT_EQ(fleet.Histogram("node0.epoch_ns").sum_ns(), 3'000u);
@@ -581,15 +566,16 @@ TEST(MetricScopeTest, HistogramCallsPrefix)
 {
     MetricRegistry registry;
     MetricScope scope(registry, "arbiter");
-    scope.RecordLatency("lock_wait_ns", 500);
-    EXPECT_TRUE(registry.HasHistogram("arbiter.lock_wait_ns"));
+    LatencyHistogram first;
+    first.Record(500);
+    scope.SetHistogram("lock_wait_ns", first);
+    EXPECT_EQ(registry.Histogram("arbiter.lock_wait_ns").count(), 1u);
     LatencyHistogram replacement;
     replacement.Record(1);
     replacement.Record(2);
     scope.SetHistogram("lock_wait_ns", replacement);
     EXPECT_EQ(registry.Histogram("arbiter.lock_wait_ns").count(), 2u);
-    scope.MergeHistogram("lock_wait_ns", replacement);
-    EXPECT_EQ(registry.Histogram("arbiter.lock_wait_ns").count(), 4u);
+    EXPECT_EQ(registry.histograms().size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -725,12 +711,12 @@ TEST(WindowPercentileTest, ExtremeValuesSurviveQuantiles)
 TEST(MetricRegistryTest, ReadAccessorsWalkNameOrdered)
 {
     MetricRegistry registry;
-    registry.Increment("b.count", 2);
-    registry.Increment("a.count", 1);
+    registry.SetCounter("b.count", 2);
+    registry.SetCounter("a.count", 1);
     registry.SetGauge("z.load", 0.5);
     LatencyHistogram hist;
     hist.Record(100);
-    registry.MergeHistogram("m.latency", hist);
+    registry.SetHistogram("m.latency", hist);
 
     std::vector<std::string> counters;
     for (const auto& [name, value] : registry.counters()) {
@@ -776,6 +762,54 @@ TEST(JsonEscapeTest, EveryWriterEscapesANameIdentically)
     EXPECT_NE(chrome.find("\"args\":{\"name\":\"" + escaped + "\"}"),
               std::string::npos)
         << chrome;
+}
+
+// ---------------------------------------------------------------------------
+// Artifact files: one rule for BENCH_, HEALTH_ and TRACE_ JSONs
+// ---------------------------------------------------------------------------
+
+std::string
+ReadWhole(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(ArtifactFileTest, EveryWriterLandsInTheBenchJsonDirOrNowhere)
+{
+    std::string dir = ::testing::TempDir();
+    if (dir.back() != '/') {
+        dir += '/';
+    }
+    ASSERT_EQ(setenv("SOL_BENCH_JSON_DIR", dir.c_str(), 1), 0);
+    const std::string bench = dir + "BENCH_artifact_test.json";
+    const std::string health = dir + "HEALTH_artifact_test.json";
+    const std::string chrome = dir + "TRACE_artifact_test.json";
+
+    EXPECT_TRUE(BenchJson("artifact_test").WriteFile());
+    EXPECT_NE(ReadWhole(bench).find("\"bench\""), std::string::npos);
+    EXPECT_TRUE(HealthReportWriter::WriteFile("artifact_test", "{}"));
+    EXPECT_EQ(ReadWhole(health), "{}");
+    trace::TraceSession session;
+    EXPECT_TRUE(
+        trace::ChromeTraceWriter::WriteFile(session, "artifact_test"));
+    EXPECT_NE(ReadWhole(chrome).find("traceEvents"), std::string::npos);
+    EXPECT_EQ(WriteArtifactFile("BENCH_artifact_test.json", "{}"), bench);
+    for (const std::string& path : {bench, health, chrome}) {
+        std::remove(path.c_str());
+    }
+
+    // "-" disables every artifact, and each writer reports that nothing
+    // was written.
+    ASSERT_EQ(setenv("SOL_BENCH_JSON_DIR", "-", 1), 0);
+    EXPECT_EQ(WriteArtifactFile("BENCH_artifact_test.json", "{}"), "");
+    EXPECT_FALSE(BenchJson("artifact_test").WriteFile());
+    EXPECT_FALSE(HealthReportWriter::WriteFile("artifact_test", "{}"));
+    EXPECT_FALSE(
+        trace::ChromeTraceWriter::WriteFile(session, "artifact_test"));
+    unsetenv("SOL_BENCH_JSON_DIR");
 }
 
 }  // namespace
